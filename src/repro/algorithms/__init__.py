@@ -2,6 +2,7 @@
 
 from .approx import ApproxScheduler, round_fractional
 from .base import Scheduler, SolveInfo, SolveResult
+from .certificate import certified_gap, dual_bound
 from .fractional import FractionalScheduler, solve_fractional
 from .guarantees import performance_guarantee, slope_extremes
 from .naive_solution import NaiveSolution, WaterFiller, compute_naive_solution
@@ -19,6 +20,8 @@ __all__ = [
     "RefineResult",
     "refine_profile",
     "deadline_slack",
+    "dual_bound",
+    "certified_gap",
     "FractionalScheduler",
     "solve_fractional",
     "ApproxScheduler",

@@ -24,6 +24,7 @@ from ..core.profiles import EnergyProfile
 from ..core.schedule import Schedule
 from ..telemetry import get_collector
 from .base import Scheduler, SolveInfo, SolveResult
+from .certificate import certified_gap, dual_bound
 from .naive_solution import compute_naive_solution
 from .refine_profile import refine_profile
 
@@ -231,10 +232,13 @@ def solve_fractional(
     repairs exchange stalls (0 disables it).  ``thorough=True`` makes that
     search exhaustive (all machine pairs + ternary line search): slower,
     but closes the residual stall gaps to solver precision — use it when
-    quality matters more than runtime.
+    quality matters more than runtime.  The search is skipped when the
+    dual bound of :mod:`~repro.algorithms.certificate` already proves the
+    refined schedule optimal; ``meta`` reports ``polish_skipped``,
+    ``dual_bound`` and ``certified_gap`` (relative gap to that bound).
     """
     tele = get_collector()
-    with tele.span("fractional.solve"):
+    with tele.span("fractional.solve") as span:
         with tele.span("fractional.naive"):
             naive = compute_naive_solution(instance, profile)
         meta: dict = {
@@ -242,6 +246,7 @@ def solve_fractional(
             "refine_iterations": 0,
             "refine_converged": True,
             "polish_rounds": 0,
+            "polish_skipped": False,
         }
         times = naive.times
         schedule = Schedule(instance, times)
@@ -252,18 +257,36 @@ def solve_fractional(
             meta["refine_converged"] = result.converged
             tele.counter("refine_iterations_total").add(result.iterations)
             schedule = Schedule(instance, result.times)
-            if polish_rounds > 0:
+        with tele.span("fractional.certify"):
+            bound = dual_bound(schedule)
+        accuracy = schedule.total_accuracy
+        if refine and polish_rounds > 0:
+            # Certify-then-stop: once the dual bound is within the polish
+            # search's own stopping threshold, no candidate can beat it,
+            # so the search would return the schedule unchanged.
+            meta["polish_skipped"] = bound <= accuracy * (1.0 + _POLISH_RTOL)
+            outcome = "certified" if meta["polish_skipped"] else "polished"
+            tele.counter("fractional_certificate_total", outcome=outcome).inc()
+            if not meta["polish_skipped"]:
                 with tele.span("fractional.polish"):
                     schedule, rounds = _polish_profiles(
                         instance, schedule, max_rounds=polish_rounds, thorough=thorough
                     )
                 meta["polish_rounds"] = rounds
                 tele.counter("polish_rounds_total").add(rounds)
+                if rounds:
+                    with tele.span("fractional.certify"):
+                        bound = dual_bound(schedule)
+                    accuracy = schedule.total_accuracy
+        meta["dual_bound"] = bound
+        meta["certified_gap"] = certified_gap(accuracy, bound)
+        tele.gauge("solve_certified_gap", solver="fractional").set(meta["certified_gap"])
+        span.set_label("certified_gap", f"{meta['certified_gap']:.3g}")
         # The *final* energy profile: the busy time actually placed on each
         # machine (what Fig. 6 plots).
         meta["final_profile"] = schedule.machine_loads.copy()
     tele.counter("solver_runs_total", solver="fractional").inc()
-    tele.gauge("last_solve_accuracy", solver="fractional").set(schedule.total_accuracy)
+    tele.gauge("last_solve_accuracy", solver="fractional").set(accuracy)
     return schedule, meta
 
 
@@ -288,7 +311,7 @@ class FractionalScheduler(Scheduler):
         elapsed = time.perf_counter() - start
         info = SolveInfo(
             solver=self.name,
-            optimal=bool(meta["refine_converged"]),
+            optimal=meta["certified_gap"] <= _POLISH_RTOL,
             status="ok" if meta["refine_converged"] else "iteration_limit",
             runtime_seconds=elapsed,
             extra=meta,

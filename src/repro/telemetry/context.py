@@ -60,6 +60,9 @@ class _NoopSpan:
     def __exit__(self, *exc) -> None:
         pass
 
+    def set_label(self, key: str, value: object) -> None:
+        pass
+
 
 _NOOP_INSTRUMENT = _NoopInstrument()
 _NOOP_SPAN = _NoopSpan()

@@ -285,6 +285,10 @@ class SpanRecord:
     def closed(self) -> bool:
         return self.duration is not None
 
+    def set_label(self, key: str, value: object) -> None:
+        """Attach (or overwrite) one label once the span's outcome is known."""
+        self.labels = _label_items({**dict(self.labels), key: value})
+
 
 class _SpanContext:
     """Context manager produced by :meth:`MetricsRegistry.span`."""

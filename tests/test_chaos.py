@@ -19,7 +19,13 @@ from repro.chaos import (
     run_campaign,
     site_of,
 )
-from repro.cluster import ClusterConfig, ClusterManager, EnergyLeaseLedger, audit_cluster
+from repro.cluster import (
+    ClusterConfig,
+    ClusterManager,
+    ConsistentHashRouter,
+    EnergyLeaseLedger,
+    audit_cluster,
+)
 from repro.core.serialization import instance_to_dict
 from repro.durability.journal import JournalWriter, encode_record, read_events
 from repro.telemetry import MetricsRegistry
@@ -259,11 +265,17 @@ def test_hedged_dispatch_cancels_loser_grant():
         supervise=True,
         heartbeat_seconds=0.1,
     )
-    manager = ClusterManager(config).start()
+    trace_ids = [f"{i:04x}beef{i:08x}" for i in range(6)]
+    # Stall the first request's primary shard well past the hedge delay,
+    # so the hedge fires and wins however fast the solver is.
+    primary = ConsistentHashRouter(config.shard_ids(), replicas=config.replicas).route(trace_ids[0])
+    stall = ChaosEvent(
+        seq=0, kind="worker_stall", site=WORKER_SITE, shard=primary, at_op=1, magnitude=1.0
+    )
+    injector = FaultInjector(ChaosSchedule.from_events([stall]))
+    manager = ClusterManager(config, injector=injector).start()
     try:
-        results = [
-            manager.submit("approx", doc, trace_id=f"{i:04x}beef{i:08x}") for i in range(6)
-        ]
+        results = [manager.submit("approx", doc, trace_id=tid) for tid in trace_ids]
         assert all(r["status"] in (200, 503) for r in results), results
         assert any(r["status"] == 200 for r in results)
         assert counter_total(manager.telemetry, "frontend_hedges_total") >= 1.0
