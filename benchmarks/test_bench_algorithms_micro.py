@@ -27,11 +27,14 @@ def instance():
 
 
 def test_bench_single_machine(benchmark, instance):
+    # The whole cluster as one machine: deadlines in seconds, total speed,
+    # so the greedy walks the segment table instead of stopping at once.
     deadlines = instance.tasks.deadlines
+    speed = float(instance.cluster.speeds.sum())
 
     def run():
         segments = build_segment_list(instance.tasks)
-        return solve_single_machine(deadlines, 1.0, segments)
+        return solve_single_machine(deadlines, speed, segments)
 
     benchmark(run)
 

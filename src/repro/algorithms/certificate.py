@@ -26,31 +26,11 @@ import math
 import numpy as np
 
 from ..core.schedule import Schedule
-from ..core.task import TaskSet
 
 __all__ = ["dual_bound", "certified_gap"]
 
 #: Relative float dust: breakpoint snapping, allocation and tightness.
 _DUST = 1e-9
-
-
-def _curves(tasks: TaskSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breakpoints, accuracies (n, K+1) and slopes (n, K), padded to one K.
-
-    Short curves repeat their last breakpoint, which adds nothing to a
-    max over breakpoints; their padded slopes are 0 and never read.
-    """
-    accs = [task.accuracy for task in tasks]
-    points = [acc.breakpoints for acc in accs]
-    values = [acc.breakpoint_accuracies for acc in accs]
-    width = max(p.size for p in points)
-    if any(p.size < width for p in points):
-        points = [np.pad(p, (0, width - p.size), mode="edge") for p in points]
-        values = [np.pad(v, (0, width - v.size), mode="edge") for v in values]
-    points, values = np.array(points), np.array(values)
-    run = np.diff(points, axis=1)
-    slopes = np.divide(np.diff(values, axis=1), run, out=np.zeros_like(run), where=run > 0.0)
-    return points, values, slopes
 
 
 def dual_bound(schedule: Schedule) -> float:
@@ -68,7 +48,9 @@ def dual_bound(schedule: Schedule) -> float:
     n, m = t.shape
     speeds, powers, effs = cluster.speeds, cluster.powers, cluster.efficiencies
     deadlines = inst.tasks.deadlines
-    points, values, slopes = _curves(inst.tasks)
+    # Short curves repeat their last breakpoint, which adds nothing to a
+    # max over breakpoints; their padded slopes are 0 and never read.
+    points, values, slopes = inst.tasks.points, inst.tasks.values, inst.tasks.slopes
     rows = np.arange(n)
     f_max = points[:, -1]
 

@@ -20,14 +20,14 @@ Optimal fractional solution for a *fixed* energy profile:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.instance import ProblemInstance
 from ..core.profiles import EnergyProfile, naive_profile
 from ..core.schedule import Schedule
-from ..core.segments import SegmentState, build_segment_list
+from ..core.segments import SegmentTable, build_segment_list
 from ..telemetry import get_collector
 from ..utils.errors import ValidationError
 from .single_machine import solve_single_machine
@@ -38,8 +38,8 @@ __all__ = ["NaiveSolution", "compute_naive_solution", "WaterFiller"]
 class WaterFiller:
     """Solves ``Σ_r s_r · min(τ, cap_r) = W`` for the common busy time τ.
 
-    Precomputes the piecewise-linear capacity curve once; each query is a
-    binary search plus one linear interpolation.
+    Precomputes the piecewise-linear capacity curve once; a query is one
+    binary search plus one linear interpolation per work value.
     """
 
     def __init__(self, speeds: np.ndarray, caps: np.ndarray):
@@ -74,21 +74,29 @@ class WaterFiller:
 
     def tau(self, work: float, *, tolerance: float = 1e-7) -> float:
         """Minimal τ delivering ``work`` FLOP; clamps small overshoot."""
-        if work <= 0.0:
-            return 0.0
-        if work >= self._max_work:
-            if work > self._max_work * (1.0 + tolerance) + tolerance:
-                raise ValidationError(
-                    f"requested work {work:.6g} exceeds capacity {self._max_work:.6g}"
-                )
-            return self._max_tau
-        k = int(np.searchsorted(self._knot_work, work, side="left")) - 1
-        k = max(k, 0)
+        return float(self.taus(np.array([work]), tolerance=tolerance)[0])
+
+    def taus(self, work: np.ndarray, *, tolerance: float = 1e-7) -> np.ndarray:
+        """:meth:`tau` for every element of ``work``, with one binary search."""
+        work = np.asarray(work, dtype=float)
+        full = work >= self._max_work
+        over = full & (work > self._max_work * (1.0 + tolerance) + tolerance)
+        if over.any():
+            raise ValidationError(
+                f"requested work {work[over].flat[0]:.6g} exceeds capacity {self._max_work:.6g}"
+            )
+        last = self._knot_work.size - 2
+        k = np.clip(np.searchsorted(self._knot_work, work, side="left") - 1, 0, max(last, 0))
         speed = self._active_speed[k]
-        if speed <= 0.0:
-            # Plateau (duplicate caps): jump to the knot end.
-            return float(self._knot_tau[k + 1])
-        return float(self._knot_tau[k] + (work - self._knot_work[k]) / speed)
+        # Plateaus (duplicate caps, no active speed) jump to the knot end.
+        moving = speed > 0.0
+        tau = np.where(
+            moving,
+            self._knot_tau[k] + (work - self._knot_work[k]) / np.where(moving, speed, 1.0),
+            self._knot_tau[np.minimum(k + 1, last + 1)],
+        )
+        tau = np.where(full, self._max_tau, tau)
+        return np.where(work <= 0.0, 0.0, tau)
 
 
 @dataclass
@@ -98,7 +106,7 @@ class NaiveSolution:
     times: np.ndarray  # (n, m) seconds
     work: np.ndarray  # (n,) FLOP granted per task
     profile: EnergyProfile
-    segments: List[SegmentState]
+    segments: SegmentTable
 
     def to_schedule(self, instance: ProblemInstance) -> Schedule:
         return Schedule(instance, self.times)
@@ -133,8 +141,7 @@ def compute_naive_solution(
     # Map back to machines with water-filling on cumulative work.
     with tele.span("naive.water_fill"):
         filler = WaterFiller(speeds, caps)
-        cumulative_work = np.cumsum(work)
-        taus = np.array([filler.tau(w) for w in cumulative_work])
+        taus = filler.taus(np.cumsum(work))
         cumulative_times = np.minimum(taus[:, None], caps[None, :])
         times = np.diff(cumulative_times, axis=0, prepend=0.0)
         np.clip(times, 0.0, None, out=times)  # float dust from the diff

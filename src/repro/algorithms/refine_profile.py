@@ -33,7 +33,9 @@ against the LP relaxation in the test suite.
 The implementation works at task granularity with the *current* segment
 of each task (marginal gain = slope right of ``f_j``, marginal loss =
 slope left of ``f_j``); chunk sizes never cross a breakpoint, so slopes
-are exact within each step.
+are exact within each step.  Each iteration reads all tasks' curve
+positions at once from the task set's stacked breakpoints
+(:meth:`~repro.core.task.TaskSet.curve_state`).
 """
 
 from __future__ import annotations
@@ -99,13 +101,12 @@ def refine_profile(
     powers = cluster.powers  # P_r = s_r / E_r
     effs = cluster.efficiencies  # E_r
     deadlines = tasks.deadlines
-    f_caps = tasks.f_max
     budget = instance.budget
 
     if max_iterations is None:
         # Generous bound: each (task, machine, segment) triple can be
         # saturated a handful of times along the exchange path.
-        total_segments = sum(task.accuracy.n_segments for task in tasks)
+        total_segments = int(tasks.n_segments.sum())
         max_iterations = 50 * (total_segments * m + n * m + 10)
 
     if math.isfinite(budget) and budget > 0:
@@ -119,39 +120,10 @@ def refine_profile(
     while iterations < max_iterations:
         iterations += 1
 
-        flops = t @ speeds
-        gains = np.empty(n)
-        losses = np.empty(n)
-        next_room = np.empty(n)  # FLOP to the next breakpoint (gain side)
-        prev_room = np.empty(n)  # FLOP above the previous breakpoint (loss side)
-        for j, task in enumerate(tasks):
-            acc = task.accuracy
-            f = min(max(flops[j], 0.0), acc.f_max)
-            # Snap to a breakpoint when within float dust of one: otherwise
-            # a residual ~1e-16·f_max of room pins the pair in the current
-            # segment with an effectively zero growth capacity and the
-            # exchange stalls one segment short of optimal.
-            bp = acc.breakpoints
-            eps_f = 1e-9 * acc.f_max
-            k_near = int(np.searchsorted(bp, f))
-            for k_cand in (k_near - 1, k_near):
-                if 0 <= k_cand < bp.size and abs(f - bp[k_cand]) <= eps_f:
-                    f = float(bp[k_cand])
-                    break
-            gains[j] = acc.marginal_gain(f)
-            losses[j] = acc.marginal_loss(f)
-            if f >= acc.f_max:
-                next_room[j] = 0.0
-            else:
-                k = acc.segment_index(f)
-                next_room[j] = acc.breakpoints[k + 1] - f
-            if f <= 0.0:
-                prev_room[j] = 0.0
-            else:
-                bp = acc.breakpoints
-                k = int(np.searchsorted(bp, f, side="left")) - 1
-                k = min(max(k, 0), acc.n_segments - 1)
-                prev_room[j] = f - bp[k]
+        state = tasks.curve_state(t @ speeds)
+        gains, losses = state.gain, state.loss
+        next_room = state.next_room  # FLOP to the next breakpoint (gain side)
+        prev_room = state.prev_room  # FLOP above the previous breakpoint (loss side)
 
         slack = deadline_slack(t, deadlines)
 

@@ -4,6 +4,8 @@ from .accuracy import (
     AccuracyFunction,
     ExponentialAccuracy,
     PiecewiseLinearAccuracy,
+    check_curves,
+    fit_minimax_stack,
     fit_piecewise,
 )
 from .analysis import ScheduleAnalysis, describe, format_analysis
@@ -11,7 +13,7 @@ from .instance import ProblemInstance, beta_of_budget, budget_for_beta
 from .machine import Cluster, Machine
 from .profiles import EnergyProfile, naive_profile
 from .schedule import FeasibilityReport, Schedule, Violation, check_feasibility
-from .segments import SegmentState, build_segment_list, order_by_slope, task_used_flops
+from .segments import SegmentTable, build_segment_list, task_used_flops
 from .serialization import (
     cluster_from_dict,
     cluster_to_dict,
@@ -24,7 +26,7 @@ from .serialization import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from .task import Task, TaskSet
+from .task import CurveState, Task, TaskSet
 
 __all__ = [
     "AccuracyFunction",
@@ -34,6 +36,8 @@ __all__ = [
     "ExponentialAccuracy",
     "PiecewiseLinearAccuracy",
     "fit_piecewise",
+    "fit_minimax_stack",
+    "check_curves",
     "ProblemInstance",
     "budget_for_beta",
     "beta_of_budget",
@@ -55,10 +59,10 @@ __all__ = [
     "schedule_from_dict",
     "save_schedule",
     "load_schedule",
-    "SegmentState",
+    "SegmentTable",
     "build_segment_list",
-    "order_by_slope",
     "task_used_flops",
     "Task",
     "TaskSet",
+    "CurveState",
 ]

@@ -23,18 +23,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..utils.errors import ValidationError
-from ..utils.validation import check_fraction, check_positive, check_sorted, require
+from ..utils.validation import check_fraction, check_positive, require
 
 __all__ = [
     "AccuracyFunction",
     "PiecewiseLinearAccuracy",
     "ExponentialAccuracy",
     "fit_piecewise",
+    "fit_minimax_stack",
+    "check_curves",
     "SLOPE_TOLERANCE",
 ]
 
@@ -44,6 +46,8 @@ SLOPE_TOLERANCE = 1e-9
 
 class AccuracyFunction:
     """Abstract interface shared by all accuracy models."""
+
+    __slots__ = ()
 
     @property
     def a_min(self) -> float:
@@ -92,6 +96,60 @@ class _Segment:
         return self.slope * self.total_flops
 
 
+def check_curves(
+    points: np.ndarray,
+    values: np.ndarray,
+    *,
+    labels: Optional[Sequence[str]] = None,
+) -> np.ndarray:
+    """Validate stacked piecewise-linear curves; return their ``(n, K)`` slopes.
+
+    ``points`` and ``values`` hold one curve per row, shape ``(n, K+1)``.
+    Every row must be a valid :class:`PiecewiseLinearAccuracy`: first
+    breakpoint 0, strictly increasing breakpoints, finite accuracies in
+    ``[0, 1]`` that never decrease, and concave up to
+    :data:`SLOPE_TOLERANCE` times the row's largest slope.  All rows are
+    checked in one pass; the first failing row raises
+    :class:`ValidationError`, its message prefixed with ``labels[row]``
+    when labels are given.
+    """
+    p = np.asarray(points, dtype=float)
+    a = np.asarray(values, dtype=float)
+    if p.ndim != 2 or p.shape != a.shape:
+        raise ValidationError(
+            f"stacked breakpoints and accuracies must be equal-shape 2-D arrays, "
+            f"got shapes {p.shape} and {a.shape}"
+        )
+    require(p.shape[1] >= 2, "need at least two breakpoints (one segment)")
+    run = np.diff(p, axis=1)
+    rising = run > 0.0  # also False for NaN
+    slopes = np.divide(np.diff(a, axis=1), run, out=np.full_like(run, np.nan), where=rising)
+    in_range = np.isfinite(a) & (a >= 0.0) & (a <= 1.0)
+    bad_first = ~(p[:, 0] == 0.0)
+    bad_order = ~rising.all(axis=1)
+    bad_range = ~in_range.all(axis=1)
+    bad_monotone = (np.diff(a, axis=1) < 0.0).any(axis=1)
+    scale = np.maximum(np.abs(slopes).max(axis=1), 1e-300)
+    bad_concave = (np.diff(slopes, axis=1) > SLOPE_TOLERANCE * scale[:, None]).any(axis=1)
+    failed = bad_first | bad_order | bad_range | bad_monotone | bad_concave
+    if not failed.any():
+        return slopes
+    i = int(np.argmax(failed))
+    if bad_first[i]:
+        message = f"first breakpoint must be 0, got {p[i, 0]!r}"
+    elif bad_order[i]:
+        message = f"breakpoints must be strictly increasing, got {p[i].tolist()}"
+    elif bad_range[i]:
+        value = float(a[i][~in_range[i]][0])
+        kind = "lie in [0, 1]" if math.isfinite(value) else "be finite"
+        message = f"accuracy value must {kind}, got {value!r}"
+    elif bad_monotone[i]:
+        message = f"accuracies must be non-decreasing, got {a[i].tolist()}"
+    else:
+        message = f"accuracy function must be concave; got slopes {slopes[i].tolist()}"
+    raise ValidationError(f"{labels[i]}: {message}" if labels is not None else message)
+
+
 class PiecewiseLinearAccuracy(AccuracyFunction):
     """Concave, non-decreasing piecewise-linear accuracy function.
 
@@ -107,6 +165,10 @@ class PiecewiseLinearAccuracy(AccuracyFunction):
         (chord slopes non-increasing).
     """
 
+    # A task set holds thousands of these as row views of its stacked
+    # curves; without a per-instance dict each costs a few dozen bytes.
+    __slots__ = ("_p", "_a", "_slopes")
+
     def __init__(self, breakpoints: Sequence[float], accuracies: Sequence[float]) -> None:
         p = np.asarray(breakpoints, dtype=float)
         a = np.asarray(accuracies, dtype=float)
@@ -115,21 +177,16 @@ class PiecewiseLinearAccuracy(AccuracyFunction):
                 f"breakpoints and accuracies must be equal-length 1-D sequences, "
                 f"got shapes {p.shape} and {a.shape}"
             )
-        require(p.size >= 2, "need at least two breakpoints (one segment)")
-        require(p[0] == 0.0, f"first breakpoint must be 0, got {p[0]!r}")
-        check_sorted(p, "breakpoints", strict=True)
-        for ai in a:
-            check_fraction(float(ai), "accuracy value")
-        check_sorted(a, "accuracies")
-        slopes = np.diff(a) / np.diff(p)
-        # Concavity: slopes non-increasing, up to floating tolerance scaled
-        # by the largest slope in the function.
-        scale = float(np.max(np.abs(slopes))) if slopes.size else 0.0
-        if np.any(np.diff(slopes) > SLOPE_TOLERANCE * max(scale, 1e-300)):
-            raise ValidationError(f"accuracy function must be concave; got slopes {slopes.tolist()}")
         self._p = p
         self._a = a
-        self._slopes = slopes
+        self._slopes = check_curves(p[None, :], a[None, :])[0]
+
+    @classmethod
+    def _from_arrays(cls, p: np.ndarray, a: np.ndarray, slopes: np.ndarray) -> "PiecewiseLinearAccuracy":
+        """Wrap arrays :func:`check_curves` already accepted (no copy, no checks)."""
+        self = cls.__new__(cls)
+        self._p, self._a, self._slopes = p, a, slopes
+        return self
 
     # -- constructors -----------------------------------------------------
 
@@ -510,3 +567,43 @@ def fit_piecewise(
     a = a * (curve.a_max / a[-1]) if a[-1] > 0 else a
     a[0] = curve.a_min
     return PiecewiseLinearAccuracy(p, np.minimum(a, 1.0))
+
+
+def fit_minimax_stack(
+    thetas: np.ndarray,
+    n_segments: int = 5,
+    *,
+    a_min: float = 0.001,
+    a_max: float = 0.82,
+    coverage: float = 0.99999,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fit every θ at once: the ``(n, K+1)`` breakpoints and accuracies.
+
+    Row ``j`` equals ``fit_piecewise(ExponentialAccuracy(thetas[j], a_min,
+    a_max, coverage), n_segments)`` bit for bit.  The minimax breakpoints
+    are normalised (``x = θ f / Δ``), so one cached table serves the whole
+    set and the rest is broadcasting.  Validates like
+    :class:`ExponentialAccuracy`; the curves themselves are left to
+    :func:`check_curves`.
+    """
+    require(n_segments >= 1, f"n_segments must be >= 1, got {n_segments}")
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.size:
+        # The scalar checks on the first curve, then θ over the rest.
+        ExponentialAccuracy(float(thetas[0]), a_min=a_min, a_max=a_max, coverage=coverage)
+        bad = ~(np.isfinite(thetas) & (thetas > 0.0))
+        if bad.any():
+            check_positive(float(thetas[int(np.argmax(bad))]), "theta")
+    a_min, a_max = float(a_min), float(a_max)
+    delta = a_max - a_min
+    f_max = -delta * math.log1p(-coverage) / thetas
+    x_total = thetas * f_max / delta
+    unique, inverse = np.unique(x_total, return_inverse=True)
+    xs = np.array([_minimax_breakpoints(float(x), n_segments) for x in unique]).reshape(-1, n_segments + 1)
+    p = xs[inverse.reshape(-1)] * delta / thetas[:, None]
+    p[:, 0], p[:, -1] = 0.0, f_max
+    a = a_max - delta * np.exp(-thetas[:, None] * np.clip(p, 0.0, f_max[:, None]) / delta)
+    last = a[:, -1:]
+    a = a * np.divide(a_max, last, out=np.ones_like(last), where=last > 0)
+    a[:, 0] = a_min
+    return p, np.minimum(a, 1.0)

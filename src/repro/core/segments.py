@@ -1,10 +1,11 @@
-"""Mutable segment records driving Algorithms 1–3.
+"""The flat segment table driving Algorithm 1.
 
 The paper's pseudocode manipulates a ``listSegments`` structure whose
 entries know their *slope*, owning *task*, *position* within the task's
 accuracy function, *totalFlops*, and the *usedFlops* already granted by
-the scheduler.  :class:`SegmentState` is that record;
-:func:`build_segment_list` expands a task set into one flat list.
+the scheduler.  :class:`SegmentTable` holds that list as parallel arrays,
+one entry per piece, in task-major position order;
+:func:`build_segment_list` reads it off a task set's stacked curves.
 
 Invariant maintained by the algorithms (and asserted in tests): within a
 task, segment ``k`` receives work only after segment ``k−1`` is full —
@@ -15,76 +16,46 @@ concavity makes earlier segments at least as steep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
 
-from ..utils.errors import ValidationError
+import numpy as np
+
 from .task import TaskSet
 
-__all__ = ["SegmentState", "build_segment_list", "order_by_slope", "task_used_flops"]
+__all__ = ["SegmentTable", "build_segment_list", "task_used_flops"]
 
 
 @dataclass
-class SegmentState:
-    """One linear piece of one task's accuracy function, with progress."""
+class SegmentTable:
+    """``listSegments`` as arrays: entry ``i`` is one piece of one task."""
 
-    task_index: int
-    position: int
-    slope: float
-    total_flops: float
-    used_flops: float = 0.0
+    slope: np.ndarray  #: accuracy per FLOP
+    task: np.ndarray  #: owning task index
+    position: np.ndarray  #: 0-based piece index within the task's curve
+    total: np.ndarray  #: FLOP span of the piece
+    used: np.ndarray  #: FLOP granted so far (mutable)
 
-    @property
-    def remaining_flops(self) -> float:
-        """FLOP still available in this segment (never negative)."""
-        return max(self.total_flops - self.used_flops, 0.0)
+    def __len__(self) -> int:
+        return int(self.slope.size)
 
     @property
-    def is_full(self) -> bool:
-        """Whether the segment is (numerically) fully used."""
-        return self.remaining_flops <= 1e-9 * max(self.total_flops, 1.0)
-
-    def use(self, flops: float) -> None:
-        """Consume ``flops`` from the segment (clamps tiny overshoot)."""
-        if flops < -1e-9 * max(self.total_flops, 1.0):
-            raise ValidationError(f"cannot use negative flops ({flops}) on a segment")
-        self.used_flops = min(self.used_flops + max(flops, 0.0), self.total_flops)
-
-    def release(self, flops: float) -> None:
-        """Return ``flops`` to the segment (clamps tiny undershoot)."""
-        if flops < -1e-9 * max(self.total_flops, 1.0):
-            raise ValidationError(f"cannot release negative flops ({flops})")
-        self.used_flops = max(self.used_flops - max(flops, 0.0), 0.0)
+    def remaining(self) -> np.ndarray:
+        """FLOP still available in each piece (never negative)."""
+        return np.maximum(self.total - self.used, 0.0)
 
 
-def build_segment_list(tasks: TaskSet) -> List[SegmentState]:
-    """Expand every task's accuracy pieces into flat segment records."""
-    out: List[SegmentState] = []
-    for j, task in enumerate(tasks):
-        for seg in task.accuracy.segments():
-            out.append(
-                SegmentState(
-                    task_index=j,
-                    position=seg.position,
-                    slope=seg.slope,
-                    total_flops=seg.total_flops,
-                )
-            )
-    return out
+def build_segment_list(tasks: TaskSet) -> SegmentTable:
+    """Every task's accuracy pieces as one flat table, nothing used yet."""
+    slopes = tasks.slopes
+    task, position = np.nonzero(np.arange(slopes.shape[1]) < tasks.n_segments[:, None])
+    return SegmentTable(
+        slope=slopes[task, position],
+        task=task,
+        position=position,
+        total=np.diff(tasks.points, axis=1)[task, position],
+        used=np.zeros(task.size),
+    )
 
 
-def order_by_slope(segments: Iterable[SegmentState]) -> List[SegmentState]:
-    """Sort by non-increasing slope (Algorithm 1 line 1).
-
-    Ties are broken by (task_index, position) so the schedule is
-    deterministic; within a task, concavity guarantees position order
-    coincides with slope order.
-    """
-    return sorted(segments, key=lambda s: (-s.slope, s.task_index, s.position))
-
-
-def task_used_flops(segments: Sequence[SegmentState], n_tasks: int) -> List[float]:
+def task_used_flops(segments: SegmentTable, n_tasks: int) -> np.ndarray:
     """Total FLOP granted to each task across its segments."""
-    totals = [0.0] * n_tasks
-    for seg in segments:
-        totals[seg.task_index] += seg.used_flops
-    return totals
+    return np.bincount(segments.task, weights=segments.used, minlength=n_tasks)

@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Union
 
 import numpy as np
 
 from ..utils.errors import ValidationError
 from ..utils.fileio import atomic_write
-from .accuracy import PiecewiseLinearAccuracy
+from .accuracy import PiecewiseLinearAccuracy, check_curves
 from .instance import ProblemInstance
 from .machine import Cluster, Machine
 from .schedule import Schedule
@@ -48,10 +48,6 @@ def _accuracy_to_dict(acc: PiecewiseLinearAccuracy) -> Dict[str, Any]:
         "breakpoints": acc.breakpoints.tolist(),
         "accuracies": acc.breakpoint_accuracies.tolist(),
     }
-
-
-def _accuracy_from_dict(data: Dict[str, Any]) -> PiecewiseLinearAccuracy:
-    return PiecewiseLinearAccuracy(data["breakpoints"], data["accuracies"])
 
 
 def cluster_to_dict(cluster: Cluster) -> list:
@@ -109,20 +105,53 @@ def _check_header(data: Dict[str, Any], expected: str) -> None:
         )
 
 
+def _tasks_from_dicts(docs: List[Dict[str, Any]]) -> TaskSet:
+    """Decode task dicts; curves with the same breakpoint count validate in one pass.
+
+    A malformed curve raises :class:`ValidationError` naming its task.
+    """
+    names = [t.get("name") for t in docs]
+    labels = [f"task {j}" + (f" ({name!r})" if name else "") for j, name in enumerate(names)]
+    curves = [t["accuracy"] for t in docs]
+    groups: Dict[int, List[int]] = {}
+    for j, curve in enumerate(curves):
+        try:
+            width, other = len(curve["breakpoints"]), len(curve["accuracies"])
+        except TypeError:
+            raise ValidationError(f"{labels[j]}: breakpoints and accuracies must be sequences") from None
+        if width != other:
+            raise ValidationError(
+                f"{labels[j]}: breakpoints and accuracies must have equal length, got {width} and {other}"
+            )
+        groups.setdefault(width, []).append(j)
+    stacks = {
+        width: (
+            np.array([curves[j]["breakpoints"] for j in rows], dtype=float),
+            np.array([curves[j]["accuracies"] for j in rows], dtype=float),
+        )
+        for width, rows in groups.items()
+    }
+    deadlines = [t["deadline"] for t in docs]
+    if len(stacks) == 1:
+        points, values = next(iter(stacks.values()))
+        return TaskSet.from_curves(deadlines, points, values, names=names, labels=labels)
+    # Mixed piece counts: one pass per count, then the general constructor.
+    accuracies: List[Any] = [None] * len(docs)
+    for width, rows in groups.items():
+        points, values = stacks[width]
+        slopes = check_curves(points, values, labels=[labels[j] for j in rows])
+        for i, j in enumerate(rows):
+            accuracies[j] = PiecewiseLinearAccuracy._from_arrays(points[i], values[i], slopes[i])
+    return TaskSet(
+        [Task(deadline=d, accuracy=acc, name=name) for d, acc, name in zip(deadlines, accuracies, names)]
+    )
+
+
 def instance_from_dict(data: Dict[str, Any]) -> ProblemInstance:
     """Rebuild a problem instance from :func:`instance_to_dict` output."""
     _check_header(data, "repro.instance")
     cluster = cluster_from_dict(data["machines"])
-    tasks = TaskSet(
-        [
-            Task(
-                deadline=t["deadline"],
-                accuracy=_accuracy_from_dict(t["accuracy"]),
-                name=t.get("name"),
-            )
-            for t in data["tasks"]
-        ]
-    )
+    tasks = _tasks_from_dicts(data["tasks"])
     budget = data["budget"]
     return ProblemInstance(tasks, cluster, math.inf if budget == "inf" else float(budget))
 

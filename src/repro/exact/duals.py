@@ -139,38 +139,14 @@ def certify(schedule: Schedule, *, tolerance: float = 1e-6) -> KKTReport:
     effs = cluster.efficiencies
     deadlines = tasks.deadlines
 
-    gains = np.empty(n)
-    losses = np.empty(n)
-    next_room = np.empty(n)  # FLOP to the next breakpoint (grow side)
-    prev_room = np.empty(n)  # FLOP above the previous breakpoint (shrink side)
-    at_cap = np.empty(n, dtype=bool)
-    for j, task in enumerate(tasks):
-        acc = task.accuracy
-        f = min(max(flops[j], 0.0), acc.f_max)
-        # Snap to breakpoints within float dust — optimal solutions sit
-        # exactly on breakpoints, and a residual 1e-16·f_max would make
-        # the left/right derivatives read from the wrong segments.
-        bp = acc.breakpoints
-        eps_f = 1e-9 * acc.f_max
-        k_near = int(np.searchsorted(bp, f))
-        for k_cand in (k_near - 1, k_near):
-            if 0 <= k_cand < bp.size and abs(f - bp[k_cand]) <= eps_f:
-                f = float(bp[k_cand])
-                break
-        gains[j] = acc.marginal_gain(f)
-        losses[j] = acc.marginal_loss(f)
-        at_cap[j] = f >= acc.f_max * (1.0 - 1e-9)
-        if f >= acc.f_max:
-            next_room[j] = 0.0
-        else:
-            k = acc.segment_index(f)
-            next_room[j] = acc.breakpoints[k + 1] - f
-        if f <= 0.0:
-            prev_room[j] = 0.0
-        else:
-            k = int(np.searchsorted(bp, f, side="left")) - 1
-            k = min(max(k, 0), acc.n_segments - 1)
-            prev_room[j] = f - bp[k]
+    # Breakpoints snapped within float dust — optimal solutions sit exactly
+    # on breakpoints, and a residual 1e-16·f_max would make the left/right
+    # derivatives read from the wrong segments.
+    state = tasks.curve_state(flops)
+    gains, losses = state.gain, state.loss
+    next_room = state.next_room  # FLOP to the next breakpoint (grow side)
+    prev_room = state.prev_room  # FLOP above the previous breakpoint (shrink side)
+    at_cap = state.flops >= tasks.f_max * (1.0 - 1e-9)
 
     violations: List[KKTViolation] = []
 

@@ -19,10 +19,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..core.accuracy import ExponentialAccuracy, fit_piecewise
+from ..core.accuracy import ExponentialAccuracy, fit_minimax_stack
 from ..core.instance import ProblemInstance
 from ..core.machine import Cluster
-from ..core.task import Task, TaskSet
+from ..core.task import TaskSet
 from ..utils import units
 from ..utils.errors import ValidationError
 from ..utils.rng import SeedLike, ensure_rng
@@ -73,16 +73,20 @@ def tasks_from_thetas(
     n_segments: int = 5,
     coverage: float = 0.99999,
 ) -> TaskSet:
-    """Build a task set from explicit θ (per TFLOP) and deadline lists."""
-    thetas = list(thetas_per_tflop)
+    """Build a task set from explicit θ (per TFLOP) and deadline lists.
+
+    Fits all curves at once (:func:`~repro.core.accuracy.fit_minimax_stack`,
+    bit-identical to ``fit_piecewise`` per task) and validates them in one
+    pass; the tasks' curves are row views of the set's stacked arrays.
+    """
+    thetas = np.asarray(thetas_per_tflop, dtype=float)
     deadlines = list(deadlines)
-    if len(thetas) != len(deadlines):
+    if thetas.shape != (len(deadlines),):
         raise ValidationError("thetas and deadlines must have equal length")
-    tasks = []
-    for theta, d in zip(thetas, deadlines):
-        curve = ExponentialAccuracy(theta / units.TERA, a_min=a_min, a_max=a_max, coverage=coverage)
-        tasks.append(Task(deadline=d, accuracy=fit_piecewise(curve, n_segments)))
-    return TaskSet(tasks)
+    points, values = fit_minimax_stack(
+        thetas / units.TERA, n_segments, a_min=a_min, a_max=a_max, coverage=coverage
+    )
+    return TaskSet.from_curves(deadlines, points, values)
 
 
 def generate_tasks(config: TaskGenConfig, cluster: Cluster, seed: SeedLike = None) -> TaskSet:

@@ -67,6 +67,8 @@ class TestConstruction:
     def test_rejects_unsorted_breakpoints(self):
         with pytest.raises(ValidationError):
             PiecewiseLinearAccuracy([0.0, 2.0, 1.0], [0.0, 0.3, 0.5])
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            PiecewiseLinearAccuracy([0.0, float("nan"), 1.0], [0.0, 0.3, 0.5])
 
     def test_rejects_decreasing_accuracy(self):
         with pytest.raises(ValidationError):

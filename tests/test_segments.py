@@ -1,83 +1,74 @@
-"""Segment records driving Algorithms 1-3."""
+"""The flat segment table driving Algorithm 1."""
 
+import numpy as np
 import pytest
 
-from repro.core.segments import (
-    SegmentState,
-    build_segment_list,
-    order_by_slope,
-    task_used_flops,
-)
-from repro.utils.errors import ValidationError
+from repro.core.segments import SegmentTable, build_segment_list, task_used_flops
 
 from conftest import make_tasks
 
 
-class TestSegmentState:
+def table(rows):
+    """A segment table from (task, position, slope, total, used) rows."""
+    task, position, slope, total, used = (np.array(col) for col in zip(*rows))
+    return SegmentTable(slope=slope, task=task, position=position, total=total, used=used)
+
+
+class TestSegmentTable:
     def test_remaining(self):
-        seg = SegmentState(0, 0, 0.5, 100.0)
-        assert seg.remaining_flops == 100.0
-        seg.use(30.0)
-        assert seg.remaining_flops == 70.0
-
-    def test_use_clamps_overshoot(self):
-        seg = SegmentState(0, 0, 0.5, 100.0)
-        seg.use(100.0 + 1e-12)
-        assert seg.used_flops == 100.0
-        assert seg.is_full
-
-    def test_use_rejects_negative(self):
-        seg = SegmentState(0, 0, 0.5, 100.0)
-        with pytest.raises(ValidationError):
-            seg.use(-5.0)
-
-    def test_release(self):
-        seg = SegmentState(0, 0, 0.5, 100.0, used_flops=60.0)
-        seg.release(20.0)
-        assert seg.used_flops == 40.0
-
-    def test_release_clamps_at_zero(self):
-        seg = SegmentState(0, 0, 0.5, 100.0, used_flops=10.0)
-        seg.release(10.0 + 1e-12)
-        assert seg.used_flops == 0.0
-
-    def test_release_rejects_negative(self):
-        seg = SegmentState(0, 0, 0.5, 100.0)
-        with pytest.raises(ValidationError):
-            seg.release(-1.0)
+        segs = table([(0, 0, 0.5, 100.0, 0.0), (0, 1, 0.2, 100.0, 30.0), (1, 0, 0.3, 10.0, 10.0 + 1e-12)])
+        assert segs.remaining.tolist() == [100.0, 70.0, 0.0]
+        assert len(segs) == 3
 
 
 class TestBuildAndOrder:
     def test_build_covers_all_tasks(self):
         tasks = make_tasks(n=4)
         segments = build_segment_list(tasks)
-        assert {s.task_index for s in segments} == {0, 1, 2, 3}
-        per_task = sum(1 for s in segments if s.task_index == 0)
+        assert set(segments.task.tolist()) == {0, 1, 2, 3}
+        per_task = int(np.sum(segments.task == 0))
         assert per_task == tasks[0].accuracy.n_segments
+        assert np.all(segments.used == 0.0)
 
     def test_build_flops_match_task_fmax(self):
         tasks = make_tasks(n=3)
         segments = build_segment_list(tasks)
         for j, task in enumerate(tasks):
-            total = sum(s.total_flops for s in segments if s.task_index == j)
+            total = segments.total[segments.task == j].sum()
             assert total == pytest.approx(task.f_max)
+
+    def test_build_matches_scalar_segments(self):
+        tasks = make_tasks(n=3)
+        segments = build_segment_list(tasks)
+        expected = [
+            (j, seg.position, seg.slope, seg.total_flops)
+            for j, task in enumerate(tasks)
+            for seg in task.accuracy.segments()
+        ]
+        got = list(
+            zip(
+                segments.task.tolist(),
+                segments.position.tolist(),
+                segments.slope.tolist(),
+                segments.total.tolist(),
+            )
+        )
+        assert got == expected
 
     def test_order_by_slope_nonincreasing(self):
         tasks = make_tasks(n=5)
-        ordered = order_by_slope(build_segment_list(tasks))
-        slopes = [s.slope for s in ordered]
-        assert all(a >= b for a, b in zip(slopes, slopes[1:]))
+        segments = build_segment_list(tasks)
+        order = np.lexsort((segments.position, segments.task, -segments.slope))
+        slopes = segments.slope[order]
+        assert np.all(slopes[:-1] >= slopes[1:])
 
     def test_order_within_task_respects_position(self):
         tasks = make_tasks(n=1)
-        ordered = order_by_slope(build_segment_list(tasks))
-        positions = [s.position for s in ordered if s.task_index == 0]
+        segments = build_segment_list(tasks)
+        order = np.lexsort((segments.position, segments.task, -segments.slope))
+        positions = segments.position[order][segments.task[order] == 0].tolist()
         assert positions == sorted(positions)
 
     def test_task_used_flops(self):
-        segs = [
-            SegmentState(0, 0, 0.5, 10.0, used_flops=4.0),
-            SegmentState(0, 1, 0.2, 10.0, used_flops=1.0),
-            SegmentState(1, 0, 0.3, 10.0, used_flops=2.5),
-        ]
-        assert task_used_flops(segs, 3) == [5.0, 2.5, 0.0]
+        segs = table([(0, 0, 0.5, 10.0, 4.0), (0, 1, 0.2, 10.0, 1.0), (1, 0, 0.3, 10.0, 2.5)])
+        assert task_used_flops(segs, 3).tolist() == [5.0, 2.5, 0.0]

@@ -77,6 +77,69 @@ class TestInstanceRoundtrip:
             instance_from_dict(data)
 
 
+class TestMalformedCurves:
+    """A bad curve in a document is rejected, naming its task."""
+
+    def doc(self):
+        inst = make_instance(n=4, m=2, seed=130)
+        data = instance_to_dict(inst)
+        data["tasks"][2]["name"] = "bad-one"
+        return data
+
+    def corrupt(self, edit):
+        data = self.doc()
+        edit(data["tasks"][2]["accuracy"])
+        with pytest.raises(ValidationError, match=r"task 2 \('bad-one'\)") as info:
+            instance_from_dict(data)
+        return str(info.value)
+
+    def test_non_concave(self):
+        def edit(acc):
+            acc["accuracies"][1] = acc["accuracies"][0] + 1e-6
+
+        assert "concave" in self.corrupt(edit)
+
+    def test_accuracy_above_one(self):
+        def edit(acc):
+            acc["accuracies"][-1] = 1.5
+
+        assert "[0, 1]" in self.corrupt(edit)
+
+    def test_nan_accuracy(self):
+        def edit(acc):
+            acc["accuracies"][3] = float("nan")
+
+        assert "finite" in self.corrupt(edit)
+
+    def test_breakpoint_not_increasing(self):
+        def edit(acc):
+            acc["breakpoints"][2] = acc["breakpoints"][1]
+
+        assert "strictly increasing" in self.corrupt(edit)
+
+    def test_length_mismatch(self):
+        def edit(acc):
+            acc["accuracies"].pop()
+
+        assert "equal length" in self.corrupt(edit)
+
+    def test_mixed_piece_counts_roundtrip_and_validate(self):
+        from repro.core import PiecewiseLinearAccuracy, Task, TaskSet
+
+        inst = make_instance(n=3, m=2, seed=131)
+        short = PiecewiseLinearAccuracy([0.0, 1e12, 4e12], [0.0, 0.4, 0.6])
+        tasks = TaskSet(list(inst.tasks) + [Task(0.5, short, name="short")])
+        data = instance_to_dict(ProblemInstance(tasks, inst.cluster, inst.budget))
+        clone = instance_from_dict(data)
+        assert clone.tasks.n_segments.tolist() == tasks.n_segments.tolist()
+        assert np.array_equal(clone.tasks.points, tasks.points)
+        assert np.array_equal(clone.tasks.slopes, tasks.slopes)
+        j = [t["name"] for t in data["tasks"]].index("short")
+        data["tasks"][j]["accuracy"]["accuracies"][1] = 0.1
+        with pytest.raises(ValidationError, match=rf"task {j} \('short'\).*concave"):
+            instance_from_dict(data)
+
+
 class TestScheduleRoundtrip:
     def test_embedded_instance(self, tmp_path):
         inst = make_instance(n=5, m=2, beta=0.5, seed=124)

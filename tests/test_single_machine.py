@@ -8,10 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.single_machine import solve_single_machine
-from repro.core.segments import SegmentState, build_segment_list, task_used_flops
+from repro.core.segments import SegmentTable, build_segment_list, task_used_flops
 from repro.utils.errors import ValidationError
 
 from conftest import make_tasks
+
+
+def one_segment(task, slope, total):
+    return SegmentTable(
+        slope=np.array([slope]),
+        task=np.array([task]),
+        position=np.array([0]),
+        total=np.array([total]),
+        used=np.zeros(1),
+    )
 
 
 def greedy(tasks, speed=1e12, total_cap=math.inf):
@@ -61,34 +71,34 @@ class TestBasics:
         speed = 1e12
         times, segments = greedy(tasks, speed)
         used = task_used_flops(segments, len(tasks))
-        assert np.allclose(np.asarray(used), times * speed, rtol=1e-9, atol=1.0)
+        assert np.allclose(used, times * speed, rtol=1e-9, atol=1.0)
 
     def test_segment_ordering_invariant(self):
         """Within a task, segment k is only used after k-1 is full."""
         tasks = make_tasks(n=5, seed=5)
         _, segments = greedy(tasks)
-        by_task = {}
-        for seg in segments:
-            by_task.setdefault(seg.task_index, []).append(seg)
-        for segs in by_task.values():
-            segs.sort(key=lambda s: s.position)
-            for earlier, later in zip(segs, segs[1:]):
-                if later.used_flops > 1e-6:
-                    assert earlier.is_full
+        full = segments.remaining <= 1e-9 * np.maximum(segments.total, 1.0)
+        for j in range(len(tasks)):
+            mine = segments.task == j
+            assert segments.position[mine].tolist() == sorted(segments.position[mine].tolist())
+            used, done = segments.used[mine], full[mine]
+            for k in range(1, used.size):
+                if used[k] > 1e-6:
+                    assert done[k - 1]
 
     def test_rejects_unsorted_deadlines(self):
         with pytest.raises(ValidationError):
-            solve_single_machine([2.0, 1.0], 1.0, [])
+            solve_single_machine([2.0, 1.0], 1.0, one_segment(0, 1.0, 10.0))
 
     def test_rejects_segment_task_out_of_range(self):
-        seg = SegmentState(5, 0, 1.0, 10.0)
         with pytest.raises(ValidationError):
-            solve_single_machine([1.0], 1.0, [seg])
+            solve_single_machine([1.0], 1.0, one_segment(5, 1.0, 10.0))
 
     def test_skips_nonpositive_slopes(self):
-        segs = [SegmentState(0, 0, 0.0, 10.0)]
+        segs = one_segment(0, 0.0, 10.0)
         times = solve_single_machine([1.0], 1.0, segs)
         assert times[0] == 0.0
+        assert segs.used[0] == 0.0
 
 
 class TestOptimality:
@@ -127,7 +137,7 @@ class TestOptimality:
         times, segments = greedy(tasks)
         accuracy = sum(
             task.accuracy.value(f)
-            for task, f in zip(tasks, np.asarray(task_used_flops(segments, len(tasks))))
+            for task, f in zip(tasks, task_used_flops(segments, len(tasks)))
         )
         lp = self._lp_optimum(tasks, 1e12)
         assert accuracy == pytest.approx(lp, rel=1e-7, abs=1e-9)
@@ -139,7 +149,7 @@ class TestOptimality:
         times, segments = greedy(tasks, total_cap=cap)
         accuracy = sum(
             task.accuracy.value(f)
-            for task, f in zip(tasks, np.asarray(task_used_flops(segments, len(tasks))))
+            for task, f in zip(tasks, task_used_flops(segments, len(tasks)))
         )
         lp = self._lp_optimum(tasks, 1e12, total_cap=cap)
         assert accuracy == pytest.approx(lp, rel=1e-7, abs=1e-9)
