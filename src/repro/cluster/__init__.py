@@ -1,8 +1,7 @@
 """Scale-out serving: sharded, batched, multi-worker solving under one budget.
 
-The single-process server (:mod:`repro.server`) solves one request at a
-time inside one Python process.  This package turns the same service
-into a small cluster while preserving the paper's core constraint — one
+The single-process server (:mod:`repro.server`) serves one in-process
+shard.  This package turns the same service into a small cluster while preserving the paper's core constraint — one
 global energy budget ``B`` — across all of it:
 
 * :mod:`repro.cluster.solve_service` — the one solve code path (scheduler
@@ -17,9 +16,11 @@ global energy budget ``B`` — across all of it:
   plus :func:`~repro.cluster.ledger.audit_cluster`, the durable proof
   that the shards' journalled spends sum within ``B``;
 * :mod:`repro.cluster.worker` — the shard worker process: own journal,
-  telemetry registry, admission control and burn-rate monitor;
-* :mod:`repro.cluster.frontend` — the control plane and HTTP front-end
-  (:class:`~repro.cluster.frontend.ClusterManager`,
+  telemetry registry, admission control and burn-rate monitor — and
+  :class:`~repro.cluster.worker.LocalShard`, the same shard run
+  in-process behind ``repro serve``;
+* :mod:`repro.cluster.frontend` — the control plane and the package's
+  one HTTP handler (:class:`~repro.cluster.frontend.ClusterManager`,
   :func:`~repro.cluster.frontend.make_cluster_server`);
 * :mod:`repro.cluster.bench` — the serving load benchmark behind
   ``repro bench serve``.
@@ -39,7 +40,7 @@ from .ledger import ClusterAudit, EnergyLeaseLedger, ShardLease, audit_cluster
 from .router import ConsistentHashRouter
 from .solve_service import SolveService, SolveServiceConfig, solve_payload
 from .supervisor import ShardSupervisor
-from .worker import WorkerConfig, worker_main
+from .worker import LocalShard, WorkerConfig, worker_main
 
 __all__ = [
     "PendingResult",
@@ -60,6 +61,7 @@ __all__ = [
     "SolveService",
     "SolveServiceConfig",
     "solve_payload",
+    "LocalShard",
     "WorkerConfig",
     "worker_main",
 ]

@@ -4,12 +4,15 @@
 exists for — *what does sharding buy, at what tail latency, for how
 much energy?* — by driving the same request mix through
 
-1. a **single-process baseline**: the exact
-   :class:`~repro.cluster.solve_service.SolveService` path the plain
-   server runs, one solve at a time behind a lock (the GIL-honest
-   throughput of one process), and
+1. a **single-process baseline**: a
+   :class:`~repro.cluster.worker.LocalShard`, the in-process shard the
+   plain server runs (every request solved on its client's thread, so
+   the GIL bounds the throughput of one process), and
 2. an **N-shard cluster**: requests routed, batched into solve windows,
    solved by worker processes under per-shard energy leases.
+
+Both sides are driven through the same call,
+``submit(scheduler, instance_doc, trace_id=...)``.
 
 Both sides run the same closed-loop load (``concurrency`` clients
 issuing back-to-back requests for ``duration`` seconds) or an open-loop
@@ -39,7 +42,7 @@ from ..utils.fileio import atomic_write
 from ..utils.validation import check_positive, require
 from .frontend import ClusterConfig, ClusterManager
 from .ledger import audit_cluster
-from .solve_service import SolveService, SolveServiceConfig
+from .worker import LocalShard, WorkerConfig
 
 __all__ = ["LoadStats", "run_load", "bench_serve"]
 
@@ -200,21 +203,16 @@ def bench_serve(
         },
     }
 
+    def submit_to(target: Any) -> Callable[[], int]:
+        return lambda: int(target.submit(scheduler, instance_doc, trace_id=new_trace_id()).get("status", 200))
+
     if not skip_single:
         progress(f"single-process baseline: {concurrency} client(s), {duration:.1f} s ...")
-        service = SolveService(SolveServiceConfig())
-        solve_lock = threading.Lock()  # one process solves one request at a time
-
-        def submit_single() -> int:
-            from ..core.serialization import instance_from_dict
-
-            instance = instance_from_dict(instance_doc)
-            with solve_lock:
-                service.solve_named(scheduler, instance)
-            return 200
-
+        # The bound sits above run_load's outstanding-request cap, so
+        # admission never sheds the baseline's own load.
+        local = LocalShard(WorkerConfig("single", max_in_flight=5 * concurrency, profile_hz=0.0))
         single = run_load(
-            submit_single, duration=duration, concurrency=concurrency, rate=rate, seed=seed
+            submit_to(local), duration=duration, concurrency=concurrency, rate=rate, seed=seed
         ).to_dict()
         report["single"] = single
         progress(
@@ -232,13 +230,8 @@ def bench_serve(
         fsync="never" if journal_root is None else "rotate",
     )
     with ClusterManager(cluster_config) as manager:
-
-        def submit_cluster() -> int:
-            result = manager.submit(scheduler, instance_doc, trace_id=new_trace_id())
-            return int(result.get("status", 200))
-
         cluster_stats = run_load(
-            submit_cluster, duration=duration, concurrency=concurrency, rate=rate, seed=seed
+            submit_to(manager), duration=duration, concurrency=concurrency, rate=rate, seed=seed
         ).to_dict()
         report["cluster"] = cluster_stats
         report["ledger"] = manager.ledger.to_dict()

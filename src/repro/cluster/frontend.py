@@ -18,9 +18,11 @@ cluster.  It owns
   death (in-flight requests answer 503, the grant is released, the ring
   routes around the corpse).
 
-:func:`make_cluster_server` wraps a manager in the same thin HTTP
-surface as :mod:`repro.server` — clients cannot tell one process from a
-cluster — and :func:`serve_cluster` is the CLI entry point.
+:func:`make_cluster_server` wraps a manager in the one HTTP handler of
+the package; :func:`repro.server.make_server` puts the same handler in
+front of a :class:`~repro.cluster.worker.LocalShard`, so clients cannot
+tell one process from a cluster.  :func:`serve_cluster` is the CLI entry
+point.
 """
 
 from __future__ import annotations
@@ -36,19 +38,19 @@ import random
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from .. import __version__ as _pkg_version
 from ..algorithms.registry import available_schedulers
 from ..chaos import REBALANCE_SITE, RELEASE_SITE, SUBMIT_SITE, FaultInjector
 from ..durability import JournalWriter
+from ..observe.slo import SLOSpec, evaluate
 from ..observe.tracing import to_trace_events, trace_spans, valid_trace_id
 from ..overload.brownout import BrownoutController
 from ..overload.controller import AdmitRateController, DeadlineShedder, normalize_priority
 from ..overload.signals import QueueDelaySignal
-from ..profile.exports import merge_profiles
-from ..profile.phases import hottest_phases, merge_phase_breakdowns, phase_breakdown
+from ..profile.phases import phase_breakdown
 from ..resilience.admission import AdmissionController
 from ..telemetry import MetricsRegistry, collector, new_trace_id, prometheus_text, trace_scope
 from ..utils.errors import ValidationError
@@ -57,7 +59,7 @@ from .batcher import PendingResult, QueueFullError, WindowBatcher
 from .ledger import EnergyLeaseLedger
 from .router import ConsistentHashRouter
 from .supervisor import ShardSupervisor
-from .worker import WorkerConfig, worker_main
+from .worker import LocalShard, WorkerConfig, profile_document, worker_main
 
 __all__ = ["ClusterConfig", "ClusterManager", "make_cluster_server", "serve_cluster"]
 
@@ -329,14 +331,17 @@ class ClusterManager:
             daemon=True,
         )
         handle.dispatcher.start()
-        handle.batcher = WindowBatcher(
-            lambda batch, h=handle: self._send_window(h, batch),
-            max_batch=self.config.max_batch,
-            max_wait_seconds=self.config.max_wait_seconds,
-            name=f"window_{shard.replace('-', '_')}",
-            max_queue=self.config.max_queue_per_shard,
-            lifo_threshold=(4 * self.config.max_batch) if self.config.adaptive_lifo else None,
-        )
+        # The batcher's thread runs in a copy of this context: build it
+        # under the manager's collector so its window series land here.
+        with collector(self.telemetry):
+            handle.batcher = WindowBatcher(
+                lambda batch, h=handle: self._send_window(h, batch),
+                max_batch=self.config.max_batch,
+                max_wait_seconds=self.config.max_wait_seconds,
+                name=f"window_{shard.replace('-', '_')}",
+                max_queue=self.config.max_queue_per_shard,
+                lifo_threshold=(4 * self.config.max_batch) if self.config.adaptive_lifo else None,
+            )
         # ``alive`` gates routing, so it must flip last: on a restart the
         # handle still carries the dead generation's *closed* batcher
         # until the line above, and a request routed in that window would
@@ -973,7 +978,9 @@ class ClusterManager:
 
     # -- observation -----------------------------------------------------------
 
-    def _ask_shard(self, handle: _ShardHandle, op: str, timeout: float) -> Optional[Dict[str, Any]]:
+    def _ask_shard(
+        self, handle: _ShardHandle, op: str, timeout: float, **fields: Any
+    ) -> Optional[Dict[str, Any]]:
         if not handle.alive:
             return None
         batch_id = next(self._batch_ids)
@@ -981,16 +988,19 @@ class ClusterManager:
         with handle.lock:
             handle.inflight[batch_id] = (op, pending, 0.0, handle.epoch, time.monotonic())
         try:
-            handle.requests.put({"op": op, "batch_id": batch_id})
+            handle.requests.put({"op": op, "batch_id": batch_id, **fields})
             return pending.wait(timeout)
         except (TimeoutError, ChildProcessError, OSError, ValueError):
             with handle.lock:
                 handle.inflight.pop(batch_id, None)
             return None
 
+    def _ask_all(self, op: str, timeout: float, **fields: Any) -> Dict[str, Optional[Dict[str, Any]]]:
+        return {s: self._ask_shard(h, op, timeout, **fields) for s, h in self._handles.items()}
+
     def shard_stats(self, *, timeout: float = 5.0) -> Dict[str, Optional[Dict[str, Any]]]:
         """Each live shard's stats document (``None`` for dead shards)."""
-        return {s: self._ask_shard(h, "stats", timeout) for s, h in self._handles.items()}
+        return self._ask_all("stats", timeout)
 
     def health(self) -> Dict[str, Any]:
         healthy = self.healthy_shards()
@@ -1018,19 +1028,18 @@ class ClusterManager:
             },
         }
 
-    def metrics_text(self, *, timeout: float = 5.0) -> str:
-        """Cluster-wide Prometheus exposition: the front-end registry plus
-        every worker registry, each worker metric labelled with its shard."""
-        snap = self.telemetry.snapshot()
-        metrics = list(snap["metrics"])
+    def metrics_snapshot(self, *, timeout: float = 5.0) -> Dict[str, Any]:
+        """Cluster-wide metric series (no spans): the front-end registry
+        plus every worker registry, each worker series labelled with its
+        shard.  ``/metrics`` renders it and ``/slo`` evaluates it."""
+        metrics = self.telemetry.snapshot(spans=False)["metrics"]
         for shard, stats in self.shard_stats(timeout=timeout).items():
-            if stats is None:
-                continue
-            for entry in stats.get("telemetry", {}).get("metrics", []):
-                labelled = dict(entry)
-                labelled["labels"] = {**entry.get("labels", {}), "shard": shard}
-                metrics.append(labelled)
-        return prometheus_text({"metrics": metrics, "spans": []})
+            if stats is not None:
+                metrics.extend(
+                    {**entry, "labels": {**entry.get("labels", {}), "shard": shard}}
+                    for entry in stats["telemetry"]["metrics"]
+                )
+        return {"metrics": metrics, "spans": []}
 
     def profile_document(self, *, timeout: float = 5.0) -> Dict[str, Any]:
         """Cluster-wide continuous profile: per-shard and merged.
@@ -1042,33 +1051,33 @@ class ClusterManager:
         everything into one document for ``/debug/profile`` and
         ``repro top``.
         """
-        shard_docs: Dict[str, Optional[Dict[str, Any]]] = {
-            s: self._ask_shard(h, "profile", timeout) for s, h in self._handles.items()
-        }
-        profiles = [d.get("profile") for d in shard_docs.values() if d is not None]
-        breakdowns = [d.get("phases", {}) for d in shard_docs.values() if d is not None]
-        breakdowns.append(phase_breakdown(self.telemetry.snapshot()))
-        merged_phases = merge_phase_breakdowns(breakdowns)
-        return {
-            "shards": {
-                shard: (None if doc is None else {"profile": doc.get("profile"), "phases": doc.get("phases", {})})
-                for shard, doc in shard_docs.items()
-            },
-            "merged": {
-                "profile": merge_profiles(profiles),
-                "phases": merged_phases,
-                "hottest": [
-                    {"phase": name, **entry} for name, entry in hottest_phases(merged_phases)
-                ],
-            },
-        }
+        return profile_document(self._ask_all("profile", timeout), phase_breakdown(self.telemetry.snapshot()))
 
     def trace_document(self, trace_id: str, *, timeout: float = 5.0) -> Optional[Dict[str, Any]]:
-        """One trace's spans across the whole cluster (front-end + workers)."""
+        """One trace's spans across the whole cluster (front-end + workers).
+
+        Each shard answers a ``trace`` probe with its spans of the trace.
+        Their ids are moved past the ones already taken, and a shard
+        span whose parent is not in the trace hangs under the trace's
+        front-end root, so the document is one tree.
+        """
         spans = trace_spans(self.telemetry, trace_id)
-        for stats in self.shard_stats(timeout=timeout).values():
-            if stats is not None:
-                spans.extend(trace_spans(stats.get("telemetry", {"spans": []}), trace_id))
+        root = next((s for s in spans if s["parent_id"] is None), None)
+        for reply in self._ask_all("trace", timeout, trace_id=trace_id).values():
+            shard_spans = [] if reply is None else reply["spans"]
+            if not shard_spans:
+                continue
+            offset = 1 + max(s["span_id"] for s in spans) if spans else 0
+            ids = {s["span_id"] for s in shard_spans}
+            shift = (0 if root is None else root["depth"] + 1) - min(s["depth"] for s in shard_spans)
+            for span in shard_spans:
+                span["span_id"] += offset
+                if span["parent_id"] in ids:
+                    span["parent_id"] += offset
+                else:
+                    span["parent_id"] = None if root is None else root["span_id"]
+                span["depth"] += shift
+            spans.extend(shard_spans)
         if not spans:
             return None
         spans.sort(key=lambda s: (s["start"], s["span_id"]))
@@ -1079,21 +1088,32 @@ class ClusterManager:
 
 
 class _ClusterHandler(BaseHTTPRequestHandler):
-    server_version = f"repro-cluster/{_pkg_version}"
+    """The package's one HTTP handler, in front of a cluster or a local shard.
+
+    ``server.manager`` is a :class:`ClusterManager` (``repro cluster``)
+    or a :class:`~repro.cluster.worker.LocalShard` (``repro serve``);
+    both answer the same calls, so the routes, status codes, metric
+    names and trace tree are the same on either topology.
+    """
+
+    server_version = f"repro/{_pkg_version}"
+    #: Trace id of the request being handled (set by the solve route);
+    #: echoed back on every response while set.
     _trace_id: Optional[str] = None
 
     @property
-    def _manager(self) -> ClusterManager:
+    def _manager(self) -> Union[ClusterManager, LocalShard]:
         return self.server.manager  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002 — stdlib signature
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
 
-    def _send_json(self, payload: Dict[str, Any], status: int = 200, headers: Optional[dict] = None) -> None:
-        body = json.dumps(payload).encode()
+    def _send(self, status: int, body: bytes, content_type: str, headers: Optional[dict] = None) -> None:
+        if status >= 400:
+            self._manager.telemetry.counter("server_errors_total", status=str(status)).inc()
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self._trace_id is not None:
             self.send_header("X-Repro-Trace-Id", self._trace_id)
@@ -1102,10 +1122,13 @@ class _ClusterHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_json(self, payload: Dict[str, Any], status: int = 200, headers: Optional[dict] = None) -> None:
+        self._send(status, json.dumps(payload).encode(), "application/json", headers)
+
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming
         path = urlparse(self.path).path
         manager = self._manager
-        manager.telemetry.counter("frontend_requests_total", path=path).inc()
+        manager.telemetry.counter("server_requests_total", path=path).inc()
         if path == "/health":
             health = manager.health()
             health["version"] = _pkg_version
@@ -1117,12 +1140,12 @@ class _ClusterHandler(BaseHTTPRequestHandler):
         elif path == "/debug/profile":
             self._send_json(manager.profile_document())
         elif path == "/metrics":
-            body = manager.metrics_text().encode()
-            self.send_response(200)
-            self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, prometheus_text(manager.metrics_snapshot()).encode(), PROMETHEUS_CONTENT_TYPE)
+        elif path == "/slo":
+            spec: SLOSpec = getattr(self.server, "slo", None) or SLOSpec()
+            payload = evaluate(manager.metrics_snapshot(), spec).to_dict()
+            payload["configured"] = not spec.empty
+            self._send_json(payload)
         elif path.startswith("/trace/"):
             trace_id = path[len("/trace/") :]
             if valid_trace_id(trace_id) is None:
@@ -1137,10 +1160,11 @@ class _ClusterHandler(BaseHTTPRequestHandler):
             self._send_json({"error": f"unknown path {path!r}"}, 404)
 
     def do_POST(self) -> None:  # noqa: N802 — stdlib naming
+        # The broad catch is the outermost wall: whatever goes wrong in a
+        # handler must come back as a JSON 500, never a dropped connection.
         try:
             self._do_post()
         except Exception as exc:  # noqa: BLE001 — serving boundary
-            self._manager.telemetry.counter("frontend_errors_total", status="500").inc()
             try:
                 self._send_json({"error": f"internal error: {exc}"}, 500)
             except OSError:
@@ -1148,52 +1172,51 @@ class _ClusterHandler(BaseHTTPRequestHandler):
 
     def _do_post(self) -> None:
         parsed = urlparse(self.path)
-        manager = self._manager
-        manager.telemetry.counter("frontend_requests_total", path=parsed.path).inc()
+        tele = self._manager.telemetry
+        tele.counter("server_requests_total", path=parsed.path).inc()
         if parsed.path != "/solve":
             self._send_json({"error": f"unknown path {parsed.path!r}"}, 404)
             return
-        trace_id = valid_trace_id(self.headers.get("X-Repro-Trace-Id")) or new_trace_id()
-        self._trace_id = trace_id
+        # The request's trace identity: honour a well-formed inbound
+        # X-Repro-Trace-Id (cross-service propagation), mint one otherwise.
+        self._trace_id = valid_trace_id(self.headers.get("X-Repro-Trace-Id")) or new_trace_id()
         try:
-            params = parse_qs(parsed.query)
-            name = params.get("scheduler", ["approx"])[0]
-            priority = params.get("priority", [None])[0]
-            deadline: Optional[float] = None
-            raw_deadline = params.get("deadline", [None])[0]
-            if raw_deadline is not None:
-                try:
-                    deadline = float(raw_deadline)
-                except ValueError:
-                    manager.telemetry.counter("frontend_errors_total", status="400").inc()
-                    self._send_json({"error": f"invalid deadline {raw_deadline!r}"}, 400)
-                    return
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-                data = json.loads(self.rfile.read(length).decode())
-            except (ValueError, UnicodeDecodeError) as exc:
-                manager.telemetry.counter("frontend_errors_total", status="400").inc()
-                self._send_json({"error": f"invalid JSON body: {exc}"}, 400)
-                return
-            result = manager.submit(
-                name, data, trace_id=trace_id, priority=priority, deadline_seconds=deadline
-            )
-            status = int(result.pop("status", 200))
-            headers = None
-            retry_after = result.pop("retry_after", None)
-            if retry_after is not None:
-                headers = {"Retry-After": str(int(max(float(retry_after), 1)))}
-            if status >= 400:
-                manager.telemetry.counter("frontend_errors_total", status=str(status)).inc()
-            self._send_json(result, status, headers)
+            with collector(tele), trace_scope(self._trace_id), tele.span("server.request", path="/solve"):
+                self._solve_route(parse_qs(parsed.query))
         finally:
             self._trace_id = None  # keep-alive connections reuse the handler
 
+    def _solve_route(self, params: Dict[str, List[str]]) -> None:
+        name = params.get("scheduler", ["approx"])[0]
+        priority = params.get("priority", [None])[0]
+        raw_deadline = params.get("deadline", [None])[0]
+        try:
+            deadline = None if raw_deadline is None else float(raw_deadline)
+        except ValueError:
+            self._send_json({"error": f"invalid deadline {raw_deadline!r}"}, 400)
+            return
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+            data = json.loads(self.rfile.read(length).decode())
+        except (ValueError, UnicodeDecodeError) as exc:
+            self._send_json({"error": f"invalid JSON body: {exc}"}, 400)
+            return
+        result = self._manager.submit(
+            name, data, trace_id=self._trace_id, priority=priority, deadline_seconds=deadline
+        )
+        status = int(result.pop("status", 200))
+        retry_after = result.pop("retry_after", None)
+        headers = None if retry_after is None else {"Retry-After": str(int(max(float(retry_after), 1)))}
+        self._send_json(result, status, headers)
+
 
 def make_cluster_server(
-    manager: ClusterManager, host: str = "127.0.0.1", port: int = 0, *, verbose: bool = False
+    manager: Union[ClusterManager, LocalShard], host: str = "127.0.0.1", port: int = 0, *, verbose: bool = False
 ) -> ThreadingHTTPServer:
-    """The HTTP front-end for a (started) cluster; port 0 picks a free port."""
+    """The HTTP front-end for a started cluster or a local shard.
+
+    Port 0 picks a free port.
+    """
     server = ThreadingHTTPServer((host, port), _ClusterHandler)
     server.manager = manager  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]

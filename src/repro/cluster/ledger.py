@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..durability.journal import read_events
+from ..durability.journal import journal_segments, read_events
 from ..durability.recovery import audit as durability_audit
 from ..durability.recovery import recover
 from ..telemetry import get_collector
@@ -338,7 +338,10 @@ def audit_cluster(
 ) -> ClusterAudit:
     """Certify the cluster's durable ledgers against the global budget.
 
-    Recovers every ``shard-*`` journal under ``journal_root`` with
+    Recovers every ``shard-*`` journal under ``journal_root`` — or
+    ``journal_root`` itself when it holds a WAL, as the journal of a
+    single-process server (``repro serve --journal-dir``) does, audited
+    as one shard — with
     :func:`repro.durability.recover`, runs the standard durability audit
     on each, re-derives each shard's cumulative-spend chain from its raw
     ``solve`` records (``cum_k = cum_{k-1} + energy_k``, energies
@@ -347,11 +350,16 @@ def audit_cluster(
     any interleaving of shard histories — the global prefix-spend proof.
     """
     root = Path(journal_root)
-    shard_dirs = sorted(p for p in root.iterdir() if p.is_dir() and p.name.startswith("shard-")) if root.is_dir() else []
+    if journal_segments(root):
+        shard_dirs = [root]
+    elif root.is_dir():
+        shard_dirs = sorted(p for p in root.iterdir() if p.is_dir() and p.name.startswith("shard-"))
+    else:
+        shard_dirs = []
     violations: List[str] = []
     shard_spend: Dict[str, float] = {}
     if not shard_dirs:
-        violations.append(f"{root}: no shard-* journal directories found")
+        violations.append(f"{root}: no journal and no shard-* journal directories found")
     for shard_dir in shard_dirs:
         shard = shard_dir.name
         state = recover(shard_dir)

@@ -1,11 +1,10 @@
-"""The one solve code path shared by the HTTP handler and cluster workers.
+"""The solve step of the one serving path.
 
-Before the cluster existed, :mod:`repro.server` built its scheduler and
-enforced the per-request deadline inside the request handler — logic any
-worker process would have had to copy.  :class:`SolveService` extracts
-that path so the single-process server and every shard worker run the
-*same* code: scheduler construction (with the optional fallback chain),
-deadline enforcement, and the response payload shape.
+:class:`SolveService` is what every shard runs to answer a request —
+the in-process shard behind ``repro serve`` and every cluster worker
+alike (see :mod:`repro.cluster.worker`): scheduler construction (with
+the optional fallback chain), deadline enforcement, and the response
+payload shape.
 
 The service is stateless and thread-safe: configuration is frozen at
 construction and each :meth:`solve` call owns its scheduler instance.
@@ -37,16 +36,6 @@ class SolveServiceConfig:
 
     solver_timeout: Optional[float] = None
     fallback: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"solver_timeout": self.solver_timeout, "fallback": self.fallback}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SolveServiceConfig":
-        return cls(
-            solver_timeout=data.get("solver_timeout"),
-            fallback=bool(data.get("fallback", False)),
-        )
 
 
 class SolveService:

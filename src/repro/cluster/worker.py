@@ -23,6 +23,10 @@ re-opens :func:`~repro.telemetry.trace_scope` around the solve, and the
 journal record carries the id — so one trace correlates the front-end
 span, the worker's solve span and the durable ledger entry.
 
+:class:`LocalShard` runs the same shard state and solve path inside the
+calling process, on the caller's thread: it is what ``repro serve``
+(:func:`repro.server.make_server`) serves through the one HTTP handler.
+
 Energy discipline: the envelope carries the window's ``grant`` (joules
 reserved from the shard's lease by the front-end).  The worker solves
 each request with its instance budget clipped to the remaining grant,
@@ -33,10 +37,13 @@ reserve.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import math
 import os
 import queue
 import signal
+import threading
 import time
 import traceback
 from collections import deque
@@ -49,16 +56,18 @@ from ..core.task import Task, TaskSet
 from ..durability import JournalWriter, SnapshotStore, recover
 from ..durability.journal import encode_record
 from ..observe.slo import BurnRateMonitor
+from ..observe.tracing import to_trace_events, trace_spans
 from ..overload.brownout import BROWNOUT_LADDER
-from ..profile.phases import phase_breakdown
+from ..profile.exports import merge_profiles
+from ..profile.phases import hottest_phases, merge_phase_breakdowns, phase_breakdown
 from ..profile.sampler import StackSampler
 from ..resilience.admission import AdmissionController
 from ..resilience.degrade import truncate_accuracy
-from ..telemetry import MetricsRegistry, collector, trace_scope
+from ..telemetry import MetricsRegistry, collector, new_trace_id, trace_scope
 from ..utils.errors import FallbackExhaustedError, ReproError, SolverTimeoutError
 from .solve_service import SolveService, SolveServiceConfig, solve_payload
 
-__all__ = ["WorkerConfig", "worker_main"]
+__all__ = ["LocalShard", "WorkerConfig", "worker_main"]
 
 
 class WorkerConfig:
@@ -91,18 +100,28 @@ class WorkerConfig:
         #: planned worker-site chaos faults (frozen dataclasses pickle across fork)
         self.chaos_events = tuple(chaos_events) if chaos_events else ()
 
-    def service_config(self) -> SolveServiceConfig:
-        return SolveServiceConfig(solver_timeout=self.solver_timeout, fallback=self.fallback)
-
 
 class _ShardState:
-    """Everything the worker loop owns; built once inside the child."""
+    """Everything one shard owns: built once inside the worker child, or
+    in-process by :class:`LocalShard` (optionally around a caller's
+    registry and admission controller)."""
 
-    def __init__(self, config: WorkerConfig):
+    def __init__(
+        self,
+        config: WorkerConfig,
+        *,
+        telemetry: Optional[MetricsRegistry] = None,
+        admission: Optional[AdmissionController] = None,
+    ):
         self.config = config
-        self.telemetry = MetricsRegistry()
-        self.service = SolveService(config.service_config())
-        self.admission = AdmissionController(max_in_flight=config.max_in_flight)
+        self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
+        self.service = SolveService(SolveServiceConfig(solver_timeout=config.solver_timeout, fallback=config.fallback))
+        self.admission = (
+            admission if admission is not None else AdmissionController(max_in_flight=config.max_in_flight)
+        )
+        # Guards the spend counters and the journal.  In-process, handler
+        # threads race on them; in a worker process it is never contended.
+        self.lock = threading.Lock()
         self.journal: Optional[JournalWriter] = None
         self.snapshots: Optional[SnapshotStore] = None
         self.energy_spent = 0.0
@@ -144,33 +163,43 @@ class _ShardState:
         )
 
     def journal_solve(self, scheduler_name: str, energy: float, trace_id: Optional[str]) -> None:
-        """Commit one solve to the shard's WAL (single-threaded, no lock)."""
-        self.energy_spent += float(energy)
-        if self.journal is None:
-            return
-        record: Dict[str, Any] = {
-            "type": "solve",
-            "shard": self.config.shard,
-            "scheduler": scheduler_name,
-            "energy": float(energy),
-            "cum_energy": self.energy_spent,
-        }
-        if trace_id is not None:
-            record["trace_id"] = trace_id
-        self.journal.append(record)
-        self.solves_since_snapshot += 1
-        if self.config.snapshot_every > 0 and self.solves_since_snapshot >= self.config.snapshot_every:
-            assert self.snapshots is not None
-            self.snapshots.save(
-                {
-                    "meta": {"kind": "cluster-shard", "shard": self.config.shard},
-                    "windows": [],
-                    "cum_energy": self.energy_spent,
-                    "level": -1,
-                },
-                journal_records=self.journal.record_count,
-            )
-            self.solves_since_snapshot = 0
+        """Count one served solve and commit it to the shard's WAL.
+
+        The one writer of serving ``solve`` records.  The append (fsync
+        included) runs under the lock on purpose: ``cum_energy`` must be
+        strictly ordered in the ledger, so concurrent solves serialise
+        here, and the snapshot must capture a settled ledger.
+        """
+        with self.lock:
+            cum = self.energy_spent + float(energy)
+            if self.journal is not None:
+                record: Dict[str, Any] = {
+                    "type": "solve",
+                    "shard": self.config.shard,
+                    "scheduler": scheduler_name,
+                    "energy": float(energy),
+                    "cum_energy": cum,
+                }
+                if trace_id is not None:
+                    record["trace_id"] = trace_id
+                self.journal.append(record)  # repro: noqa[RL011]
+            self.energy_spent = cum
+            self.solves_total += 1
+            if self.journal is None:
+                return
+            self.solves_since_snapshot += 1
+            if 0 < self.config.snapshot_every <= self.solves_since_snapshot:
+                assert self.snapshots is not None
+                self.snapshots.save(  # repro: noqa[RL011]
+                    {
+                        "meta": {"kind": "cluster-shard", "shard": self.config.shard},
+                        "windows": [],
+                        "cum_energy": cum,
+                        "level": -1,
+                    },
+                    journal_records=self.journal.record_count,
+                )
+                self.solves_since_snapshot = 0
 
 
 def _brownout_instance(instance: ProblemInstance, level: int) -> ProblemInstance:
@@ -199,8 +228,20 @@ def _brownout_instance(instance: ProblemInstance, level: int) -> ProblemInstance
     return ProblemInstance(TaskSet(tasks, assume_sorted=True), instance.cluster, instance.budget)
 
 
+def _failed(state: _ShardState, status: int, error: str, trace_id: Optional[str], **extra: Any) -> Dict[str, Any]:
+    state.telemetry.counter("worker_errors_total", shard=state.config.shard, status=str(status)).inc()
+    return {"status": status, "error": error, "trace_id": trace_id, **extra}
+
+
 def _solve_one(state: _ShardState, item: Dict[str, Any], remaining_grant: float, enforce: bool):
-    """One request of a window; returns ``(result_doc, energy_spent)``."""
+    """One request; returns ``(result_doc, energy_spent)``.
+
+    The request is decoded and its scheduler built *before* admission: a
+    malformed document or an unknown scheduler answers 400 and never
+    reaches the circuit breaker, which counts only failures of admitted
+    solves (503 for a timeout or an exhausted fallback chain, 500 for
+    any other error, a failed journal append included).
+    """
     tele = state.telemetry
     shard = state.config.shard
     trace_id = item.get("trace_id")
@@ -214,61 +255,52 @@ def _solve_one(state: _ShardState, item: Dict[str, Any], remaining_grant: float,
         tele.counter("worker_cancelled_total", shard=shard).inc()
         return {"status": 499, "error": "cancelled by front-end", "trace_id": trace_id}, 0.0
 
-    decision = state.admission.try_begin()
-    if not decision.admitted:
-        tele.counter("worker_shed_total", shard=shard, reason=decision.reason).inc()
-        return {
-            "status": 503,
-            "error": f"shard overloaded ({decision.reason})",
-            "retry_after": max(decision.retry_after_seconds, 1.0),
-            "trace_id": trace_id,
-        }, 0.0
-    try:
-        instance = instance_from_dict(item["instance"])
-        if enforce and instance.budget > remaining_grant:
-            instance = dataclasses.replace(instance, budget=remaining_grant)
-        if state.brownout_level > 0:
-            instance = _brownout_instance(instance, state.brownout_level)
-            tele.counter(
-                "worker_brownout_solves_total", shard=shard, level=str(state.brownout_level)
-            ).inc()
-        scheduler = state.service.build_scheduler(name)
-        scope = trace_scope(trace_id) if trace_id else None
-        if scope is not None:
-            scope.__enter__()
+    with trace_scope(trace_id) if trace_id else contextlib.nullcontext():
         try:
-            with tele.span("worker.solve", shard=shard, scheduler=name):
+            instance = instance_from_dict(item["instance"])
+            scheduler = state.service.build_scheduler(name)
+            if enforce and instance.budget > remaining_grant:
+                instance = dataclasses.replace(instance, budget=remaining_grant)
+            if state.brownout_level > 0:
+                instance = _brownout_instance(instance, state.brownout_level)
+                tele.counter(
+                    "worker_brownout_solves_total", shard=shard, level=str(state.brownout_level)
+                ).inc()
+        except ReproError as exc:
+            return _failed(state, 400, str(exc), trace_id), 0.0
+        except Exception as exc:  # noqa: BLE001 — a malformed document can fail in any shape
+            return _failed(state, 400, f"invalid instance document: {exc}", trace_id), 0.0
+        with tele.span("server.admission"):
+            decision = state.admission.try_begin()
+        if not decision.admitted:
+            tele.counter("worker_shed_total", shard=shard, reason=decision.reason).inc()
+            return {
+                "status": 503,
+                "error": f"shard overloaded ({decision.reason})",
+                "retry_after": max(decision.retry_after_seconds, 1.0),
+                "trace_id": trace_id,
+            }, 0.0
+        # Every failure below is recorded on the breaker BEFORE answering:
+        # a client retrying on the 503 must observe the state it produced.
+        try:
+            with tele.span("server.solve", shard=shard, scheduler=name):
                 result = state.service.solve(scheduler, instance)
-            energy = float(result.schedule.total_energy)
-            state.journal_solve(scheduler.name, energy, trace_id)
-        finally:
-            if scope is not None:
-                scope.__exit__(None, None, None)
-    except (SolverTimeoutError, FallbackExhaustedError) as exc:
-        state.admission.finish(failure=True)
-        tele.counter("worker_errors_total", shard=shard, status="503").inc()
-        return {
-            "status": 503,
-            "error": f"solve timed out: {exc}",
-            "retry_after": max(state.admission.retry_after_seconds, 1.0),
-            "trace_id": trace_id,
-        }, 0.0
-    except ReproError as exc:
-        state.admission.finish(failure=True)
-        tele.counter("worker_errors_total", shard=shard, status="400").inc()
-        return {"status": 400, "error": str(exc), "trace_id": trace_id}, 0.0
-    except Exception as exc:  # noqa: BLE001 — the worker must outlive any request
-        state.admission.finish(failure=True)
-        tele.counter("worker_errors_total", shard=shard, status="500").inc()
-        return {
-            "status": 500,
-            "error": f"internal error: {exc}",
-            "detail": traceback.format_exc(limit=3),
-            "trace_id": trace_id,
-        }, 0.0
+            with tele.span("server.schedule"):
+                energy = float(result.schedule.total_energy)
+                state.journal_solve(scheduler.name, energy, trace_id)
+                payload = solve_payload(scheduler.name, result, instance, trace_id=trace_id)
+        except (SolverTimeoutError, FallbackExhaustedError) as exc:
+            state.admission.finish(failure=True)
+            retry_after = max(state.admission.retry_after_seconds, 1.0)
+            return _failed(state, 503, f"solve timed out: {exc}", trace_id, retry_after=retry_after), 0.0
+        except ReproError as exc:
+            state.admission.finish(failure=True)
+            return _failed(state, 500, f"solve failed: {exc}", trace_id), 0.0
+        except Exception as exc:  # noqa: BLE001 — the worker must outlive any request
+            state.admission.finish(failure=True)
+            detail = traceback.format_exc(limit=3)
+            return _failed(state, 500, f"internal error: {exc}", trace_id, detail=detail), 0.0
     state.admission.finish(failure=False)
-    state.solves_total += 1
-    payload = solve_payload(scheduler.name, result, instance, trace_id=trace_id)
     payload["status"] = 200
     payload["shard"] = shard
     if state.burn is not None:
@@ -372,16 +404,18 @@ def _handle_window(
 
 
 def _handle_stats(state: _ShardState, envelope: Dict[str, Any]) -> Dict[str, Any]:
+    """Counters plus metric series only: a scrape never ships the spans."""
+    with state.lock:
+        counters = {
+            "energy_spent": state.energy_spent,
+            "solves_total": state.solves_total,
+            "journal_records": state.journal.record_count if state.journal is not None else 0,
+        }
     return {
-        "op": "stats",
-        "batch_id": envelope["batch_id"],
-        "shard": state.config.shard,
-        "energy_spent": state.energy_spent,
-        "solves_total": state.solves_total,
+        **counters,
         "breaker_state": state.admission.breaker.state,
         "brownout_level": state.brownout_level,
-        "journal_records": state.journal.record_count if state.journal is not None else 0,
-        "telemetry": state.telemetry.snapshot(),
+        "telemetry": state.telemetry.snapshot(spans=False),
         "burn_alerts": [a.severity for a in state.burn.alerts] if state.burn is not None else [],
     }
 
@@ -389,12 +423,129 @@ def _handle_stats(state: _ShardState, envelope: Dict[str, Any]) -> Dict[str, Any
 def _handle_profile(state: _ShardState, envelope: Dict[str, Any]) -> Dict[str, Any]:
     """The shard's continuous profile plus exact per-phase span splits."""
     return {
-        "op": "profile",
-        "batch_id": envelope["batch_id"],
-        "shard": state.config.shard,
         "profile": state.sampler.profile() if state.sampler is not None else None,
         "phases": phase_breakdown(state.telemetry.snapshot()),
     }
+
+
+def _handle_trace(state: _ShardState, envelope: Dict[str, Any]) -> Dict[str, Any]:
+    """The spans this shard recorded under one trace id."""
+    return {"spans": trace_spans(state.telemetry, envelope["trace_id"])}
+
+
+#: Read-only probes the front-end sends a shard, by op name.
+_PROBES: Dict[str, Callable[[_ShardState, Dict[str, Any]], Dict[str, Any]]] = {
+    "stats": _handle_stats,
+    "profile": _handle_profile,
+    "trace": _handle_trace,
+}
+
+
+def _probe(state: _ShardState, envelope: Dict[str, Any]) -> Dict[str, Any]:
+    op = envelope["op"]
+    reply = {"op": op, "batch_id": envelope.get("batch_id"), "shard": state.config.shard}
+    reply.update(_PROBES[op](state, envelope))
+    return reply
+
+
+def profile_document(
+    shard_docs: Dict[str, Optional[Dict[str, Any]]], *extra_phases: Dict[str, Dict[str, float]]
+) -> Dict[str, Any]:
+    """Per-shard ``profile`` probe replies plus their merge.
+
+    ``extra_phases`` folds in phase splits recorded outside any shard
+    (the cluster front-end's own spans).
+    """
+    live = [d for d in shard_docs.values() if d is not None]
+    phases = merge_phase_breakdowns([d.get("phases", {}) for d in live] + list(extra_phases))
+    return {
+        "shards": {
+            shard: (None if doc is None else {"profile": doc.get("profile"), "phases": doc.get("phases", {})})
+            for shard, doc in shard_docs.items()
+        },
+        "merged": {
+            "profile": merge_profiles(d.get("profile") for d in live),
+            "phases": phases,
+            "hottest": [{"phase": name, **entry} for name, entry in hottest_phases(phases)],
+        },
+    }
+
+
+class LocalShard:
+    """One shard served in-process, on the calling thread.
+
+    It has the members the HTTP handler calls on a
+    :class:`~repro.cluster.frontend.ClusterManager` (``telemetry``,
+    ``submit``, ``health``, ``shard_stats``, ``metrics_snapshot``,
+    ``trace_document``, ``profile_document``), built from the worker's
+    own shard state and solve path.  There is no process, queue or
+    batching window, and no energy lease: a lone server has no global
+    budget to split.  ``telemetry`` and ``admission`` replace the
+    shard's own registry and admission controller when given.
+    """
+
+    def __init__(
+        self,
+        config: WorkerConfig,
+        *,
+        telemetry: Optional[MetricsRegistry] = None,
+        admission: Optional[AdmissionController] = None,
+    ):
+        self.config = config
+        self._state = _ShardState(config, telemetry=telemetry, admission=admission)
+        self.telemetry = self._state.telemetry
+
+    @property
+    def journal(self) -> Optional[JournalWriter]:
+        """The shard's WAL writer (``None`` without a journal directory)."""
+        return self._state.journal
+
+    @property
+    def energy_spent(self) -> float:
+        """Joules served so far, recovered from the journal at start."""
+        return self._state.energy_spent
+
+    def submit(
+        self,
+        scheduler: str,
+        instance_doc: Dict[str, Any],
+        *,
+        trace_id: Optional[str] = None,
+        priority: Optional[str] = None,
+        deadline_seconds: Optional[float] = None,
+    ) -> Dict[str, Any]:
+        """Solve one request now; returns the same document a cluster does.
+
+        ``priority`` and ``deadline_seconds`` order and shed a cluster's
+        queues; with no queue to order they have no effect here.
+        """
+        item = {"scheduler": scheduler, "instance": instance_doc, "trace_id": trace_id or new_trace_id()}
+        with collector(self.telemetry):
+            return _solve_one(self._state, item, math.inf, False)[0]
+
+    def health(self) -> Dict[str, Any]:
+        """Always ``ok``; with a journal, also the spend so far."""
+        health: Dict[str, Any] = {"status": "ok"}
+        if self.journal is not None:
+            health["energy_spent_joules"] = self.energy_spent
+        return health
+
+    def shard_stats(self) -> Dict[str, Optional[Dict[str, Any]]]:
+        """The shard's ``stats`` probe reply, keyed by its name."""
+        return {self.config.shard: _probe(self._state, {"op": "stats"})}
+
+    def metrics_snapshot(self) -> Dict[str, Any]:
+        """Every metric series (no spans): what ``/metrics`` and ``/slo`` read."""
+        return self.telemetry.snapshot(spans=False)
+
+    def trace_document(self, trace_id: str) -> Optional[Dict[str, Any]]:
+        """One trace's spans as ``trace_event`` JSON (``None`` if unknown)."""
+        spans = trace_spans(self.telemetry, trace_id)
+        return to_trace_events(spans, trace_id=trace_id) if spans else None
+
+    def profile_document(self) -> Dict[str, Any]:
+        """The shard's phase profile, in the cluster's document shape."""
+        return profile_document({self.config.shard: _probe(self._state, {"op": "profile"})})
 
 
 def worker_main(config: WorkerConfig, requests: Any, replies: Any) -> None:
@@ -444,10 +595,8 @@ def worker_main(config: WorkerConfig, requests: Any, replies: Any) -> None:
                 return
             if op == "cancel":
                 state.cancelled.update(envelope.get("trace_ids", []))
-            elif op == "stats":
-                replies.put(_handle_stats(state, envelope))
-            elif op == "profile":
-                replies.put(_handle_profile(state, envelope))
+            elif op in _PROBES:
+                replies.put(_probe(state, envelope))
             elif op == "window":
                 reply = _handle_window(state, envelope, _drain_control)
                 if reply is not None:

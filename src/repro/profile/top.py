@@ -73,7 +73,7 @@ class ClusterTop:
             if (
                 entry.get("kind") == "histogram"
                 and entry.get("name") == "span_duration_seconds"
-                and labels.get("span") == "worker.solve"
+                and labels.get("span") == "server.solve"
                 and "shard" in labels
             ):
                 counts[labels["shard"]] = counts.get(labels["shard"], 0) + int(entry.get("count", 0))

@@ -473,8 +473,12 @@ class MetricsRegistry:
         """Return the series ``name{labels}`` or ``None``."""
         return self._metrics.get((name, _label_items(labels)))
 
-    def snapshot(self) -> dict:
-        """Plain-data view of every series and span (exporters build on this)."""
+    def snapshot(self, *, spans: bool = True) -> dict:
+        """Plain-data view of every series and span (exporters build on this).
+
+        ``spans=False`` leaves the span list empty: a metrics scrape then
+        costs the series count, not the number of spans recorded so far.
+        """
         metrics: List[dict] = []
         for metric in self:
             entry: dict = {
@@ -498,8 +502,10 @@ class MetricsRegistry:
             else:
                 entry["value"] = metric.value
             metrics.append(entry)
+        if not spans:
+            return {"metrics": metrics, "spans": []}
         with self._lock:
-            spans = [
+            records = [
                 {
                     "span_id": s.span_id,
                     "parent_id": s.parent_id,
@@ -513,7 +519,7 @@ class MetricsRegistry:
                 }
                 for s in self.spans
             ]
-        return {"metrics": metrics, "spans": spans}
+        return {"metrics": metrics, "spans": records}
 
 
 class _TimerContext:

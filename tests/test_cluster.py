@@ -293,7 +293,7 @@ def test_cluster_metrics_aggregate_with_shard_labels(cluster_env):
     status, body = _get(base, "/metrics")
     assert status == 200
     text = body.decode()
-    assert "frontend_requests_total" in text
+    assert "server_requests_total" in text
     assert 'shard="shard-00"' in text or 'shard="shard-01"' in text
 
 
@@ -321,9 +321,8 @@ def test_trace_id_spans_frontend_worker_and_journal(cluster_env):
     assert any(s["name"] == "frontend.request" for s in frontend_spans)
 
     shard = payload["shard"]
-    stats = manager.shard_stats()[shard]
-    worker_spans = trace_spans(stats["telemetry"], trace_id)
-    assert any(s["name"] == "worker.solve" for s in worker_spans)
+    worker_spans = manager.trace_document(trace_id)["traceEvents"]
+    assert any(s["name"] == "server.solve" for s in worker_spans)
 
     records = [
         e
@@ -337,7 +336,7 @@ def test_trace_id_spans_frontend_worker_and_journal(cluster_env):
     status, body = _get(base, f"/trace/{trace_id}")
     assert status == 200
     names = {e["name"] for e in json.loads(body)["traceEvents"]}
-    assert {"frontend.request", "worker.solve"} <= names
+    assert {"frontend.request", "server.solve"} <= names
 
 
 def test_cluster_audit_certifies_global_budget(cluster_env):
@@ -391,7 +390,7 @@ def test_debug_profile_merges_worker_profiles(cluster_env):
     assert merged["hottest"], "no phases in the hottest-phase ranking"
     # Worker solve spans and the front-end's own spans both fold into
     # the merged phase breakdown.
-    assert "worker.solve" in merged["phases"]
+    assert "server.solve" in merged["phases"]
     assert "frontend.request" in merged["phases"]
 
 

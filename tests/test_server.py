@@ -1,4 +1,10 @@
-"""The local HTTP scheduling service."""
+"""The HTTP scheduling service's contract, on both topologies.
+
+The route tests run against ``make_server()`` (one in-process shard)
+and, through the ``...OnCluster`` subclasses, against a one-shard
+``ClusterManager`` behind ``make_cluster_server``: one handler, so one
+contract.
+"""
 
 import json
 import threading
@@ -7,8 +13,12 @@ import urllib.request
 
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterManager, make_cluster_server
 from repro.core import instance_to_dict, schedule_from_dict
+from repro.observe import SLOSpec
+from repro.observe.slo import evaluate
 from repro.server import make_server
+from repro.telemetry import parse_prometheus
 
 from conftest import make_instance
 
@@ -22,6 +32,26 @@ def base_url():
     yield f"http://127.0.0.1:{port}"
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture(scope="module")
+def cluster_server():
+    manager = ClusterManager(ClusterConfig(shards=1, profile_hz=0)).start()
+    server = make_cluster_server(manager)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    manager.stop()
+
+
+class OnCluster:
+    """Mixin: run a contract test class against the one-shard cluster."""
+
+    @pytest.fixture
+    def base_url(self, cluster_server):
+        return f"http://127.0.0.1:{cluster_server.server_address[1]}"
 
 
 def get(url):
@@ -185,3 +215,36 @@ class TestObservability:
         finally:
             server.shutdown()
             server.server_close()
+
+
+class TestRoutesOnCluster(OnCluster, TestRoutes):
+    pass
+
+
+class TestSolveOnCluster(OnCluster, TestSolve):
+    pass
+
+
+class TestObservabilityOnCluster(OnCluster, TestObservability):
+    def test_slo_endpoint_configured(self, cluster_server):
+        """The cluster's server reads the ``slo`` attribute ``make_server`` sets."""
+        cluster_server.slo = SLOSpec(p99_solve_latency=30.0)
+        try:
+            url = f"http://127.0.0.1:{cluster_server.server_address[1]}"
+            post(url + "/solve", instance_to_dict(make_instance(n=3, m=2, beta=0.5, seed=623)))
+            doc = get(url + "/slo")
+            assert doc["configured"] is True
+            assert doc["ok"] is True
+            latency = next(s for s in doc["objectives"] if s["objective"] == "p99_solve_latency")
+            assert latency["actual"] is not None and latency["actual"] < 30.0
+        finally:
+            cluster_server.slo = None
+
+    def test_metrics_feed_the_default_latency_slo(self, base_url):
+        """A cluster's shard solves are ``server.solve`` spans, so its
+        ``/metrics`` text gives the default latency objective a value."""
+        post(base_url + "/solve", instance_to_dict(make_instance(n=3, m=2, beta=0.5, seed=624)))
+        text = urllib.request.urlopen(base_url + "/metrics", timeout=10).read().decode()
+        report = evaluate(parse_prometheus(text), SLOSpec(p99_solve_latency=30.0))
+        latency = next(s for s in report.statuses if s.objective == "p99_solve_latency")
+        assert latency.actual is not None and latency.actual < 30.0
