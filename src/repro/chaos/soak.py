@@ -204,7 +204,6 @@ def run_campaign(
         budget=budget,
         journal_root=str(root),
         max_batch=4,
-        max_wait_seconds=0.005,
         request_timeout_seconds=request_timeout_seconds,
         rebalance_seconds=0.2,
         fsync="never",

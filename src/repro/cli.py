@@ -107,6 +107,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import shlex
 import sys
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -366,7 +367,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         budget=args.budget,
         journal_root=str(args.journal_root) if args.journal_root is not None else None,
         max_batch=args.max_batch,
-        max_wait_seconds=args.max_wait / 1000.0,
         solver_timeout=args.solver_timeout,
         fallback=args.fallback,
         max_in_flight=args.max_in_flight,
@@ -424,9 +424,9 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         budget=args.budget,
         journal_root=str(args.journal_root) if args.journal_root is not None else None,
         max_batch=args.max_batch,
-        max_wait_seconds=args.max_wait / 1000.0,
         seed=args.seed,
         skip_single=args.skip_single,
+        command=shlex.join(["python", "-m", "repro", *args.argv]),
     )
     audit = report.get("audit")
     return 0 if audit is None or audit["certified"] else 1
@@ -1108,9 +1108,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_clu.add_argument("--max-batch", type=int, default=8, help="max requests coalesced per solve window")
     p_clu.add_argument(
-        "--max-wait", type=float, default=10.0, metavar="MS", help="max time a request waits for its window"
-    )
-    p_clu.add_argument(
         "--solver-timeout", type=float, default=None, metavar="SECONDS", help="per-request solver deadline"
     )
     p_clu.add_argument("--fallback", action="store_true", help="serve through the fallback chain")
@@ -1181,7 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal-root", type=Path, default=None, metavar="DIR", help="shard ledgers here (enables the audit)"
     )
     p_bsv.add_argument("--max-batch", type=int, default=8)
-    p_bsv.add_argument("--max-wait", type=float, default=5.0, metavar="MS")
     p_bsv.add_argument("--seed", type=int, default=0)
     p_bsv.add_argument("--skip-single", action="store_true", help="skip the single-process baseline")
     p_bsv.set_defaults(fn=_cmd_bench_serve)
@@ -1453,6 +1449,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return int(args.fn(args))
     except BrokenPipeError:

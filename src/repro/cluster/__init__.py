@@ -9,8 +9,10 @@ global energy budget ``B`` — across all of it:
   every cluster worker;
 * :mod:`repro.cluster.router` — consistent-hash routing of requests to
   shards, walking past dead shards;
-* :mod:`repro.cluster.batcher` — per-shard coalescing of requests into
-  bounded solve windows (``max_batch`` / ``max_wait``);
+* :mod:`repro.cluster.batcher` — work-conserving per-shard solve
+  windows: a request to an idle shard ships at once, and requests that
+  arrive while the shard's one window is in flight coalesce into the
+  next window (at most ``max_batch``);
 * :mod:`repro.cluster.ledger` — the global budget split into per-shard
   energy *leases* (reserve/commit/release; demand-weighted rebalancing)
   plus :func:`~repro.cluster.ledger.audit_cluster`, the durable proof

@@ -1,12 +1,21 @@
-"""Bounded solve windows: coalesce arriving requests into batches.
+"""Work-conserving solve windows: coalesce only while the shard is busy.
 
 The front-end does not dispatch every request to its shard
 individually — queue/IPC round-trips would dominate small solves.
-Instead a :class:`WindowBatcher` per shard coalesces arrivals into
-bounded *solve windows*: a window closes when it holds ``max_batch``
-items **or** ``max_wait_seconds`` after its first item arrived,
-whichever comes first.  The first bound caps per-window latency cost,
-the second caps the latency a lone request pays for batching.
+Instead a :class:`WindowBatcher` per shard forms *solve windows* under
+one rule, with at most one window in flight per shard:
+
+* **idle shard, ship now** — the first request to arrive at an idle
+  shard leaves at once, as a window of one;
+* **busy shard, coalesce** — while a window is in flight, arrivals
+  queue here, and when its reply settles (:meth:`WindowBatcher.settled`)
+  the queue ships as the next window of up to ``max_batch``.
+
+No request ever waits in front of an idle solver, and batching grows
+with load by itself: the longer a window runs, the more requests the
+next one carries.  ``dispatch`` returns whether it actually put the
+window in flight; a window that was wholly shed or never sent leaves
+the gate open.
 
 Each submitted item gets a :class:`PendingResult` — a one-shot future
 the dispatch path resolves from the worker's reply (or fails, e.g. when
@@ -35,13 +44,12 @@ from __future__ import annotations
 
 import contextvars
 import threading
-import time
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..overload.controller import PRIORITY_CLASSES, PRIORITY_ORDER, normalize_priority
 from ..telemetry import get_collector
 from ..utils.errors import ValidationError
-from ..utils.validation import check_positive, require
+from ..utils.validation import require
 
 __all__ = ["PendingResult", "QueueFullError", "WindowBatcher", "DEFAULT_PRIORITY_WEIGHTS"]
 
@@ -108,23 +116,24 @@ class WindowBatcher:
 
     ``dispatch`` receives a list of ``(item, PendingResult)`` pairs and
     is responsible for resolving (or failing) every pending result it
-    was handed.  Exceptions escaping ``dispatch`` fail the whole window
-    — no request is ever silently dropped.
+    was handed.  It returns ``True`` when it put the window in flight:
+    the gate then stays closed until the owner calls :meth:`settled`.
+    A falsy return (everything shed, nothing sent) reopens the gate at
+    once.  Exceptions escaping ``dispatch`` fail the whole window and
+    reopen the gate — no request is ever silently dropped.
     """
 
     def __init__(
         self,
-        dispatch: Callable[[List[Tuple[Any, PendingResult]]], None],
+        dispatch: Callable[[List[Tuple[Any, PendingResult]]], bool],
         *,
         max_batch: int = 8,
-        max_wait_seconds: float = 0.01,
         name: str = "batcher",
         max_queue: int = 4096,
         priority_weights: Tuple[int, ...] = DEFAULT_PRIORITY_WEIGHTS,
         lifo_threshold: Optional[int] = None,
     ):
         require(max_batch >= 1, f"max_batch must be >= 1, got {max_batch}")
-        check_positive(max_wait_seconds, "max_wait_seconds")
         require(max_queue >= 1, f"max_queue must be >= 1, got {max_queue}")
         require(
             len(priority_weights) == len(PRIORITY_CLASSES)
@@ -133,7 +142,6 @@ class WindowBatcher:
         )
         self.dispatch = dispatch
         self.max_batch = int(max_batch)
-        self.max_wait_seconds = float(max_wait_seconds)
         self.name = name
         self.max_queue = int(max_queue)
         self.priority_weights = tuple(int(w) for w in priority_weights)
@@ -146,6 +154,7 @@ class WindowBatcher:
         self._queues: List[List[Tuple[Any, PendingResult]]] = [[] for _ in PRIORITY_CLASSES]
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
+        self._in_flight = False  # the gate: a dispatched window awaits settled()
         # The loop runs under a copy of the creating context so spans and
         # trace scopes opened by dispatch land in the owning registry.
         context = contextvars.copy_context()
@@ -231,39 +240,47 @@ class WindowBatcher:
                     break
         return window
 
+    def settled(self) -> None:
+        """The in-flight window left the shard: open the gate for the next."""
+        with self._lock:
+            self._in_flight = False
+            self._wakeup.notify()
+
     def _loop(self) -> None:
         tele = get_collector()
         while True:
             with self._lock:
-                while not self._depth_locked() and not self._closed:
+                # Ship as soon as the shard is idle; while a window is in
+                # flight, arrivals coalesce here into the next one.
+                while (self._in_flight or not self._depth_locked()) and not self._closed:
                     self._wakeup.wait()
                 if self._closed and not self._depth_locked():
                     return
-                # A window is open: wait out the coalescing budget unless
-                # the size bound trips first.
-                deadline = time.monotonic() + self.max_wait_seconds
-                while self._depth_locked() < self.max_batch and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._wakeup.wait(remaining)
                 batch = self._take_window_locked()
+                self._in_flight = True
                 tele.gauge(f"{self.name}_queue_depth").set(self._depth_locked())
-            if not batch:  # pragma: no cover — only on close races
-                continue
             tele.counter(f"{self.name}_windows_total").inc()
             tele.histogram(f"{self.name}_window_size", buckets=(1, 2, 4, 8, 16, 32, 64)).observe(
                 len(batch)
             )
+            sent = False
             try:
-                self.dispatch(batch)
+                sent = bool(self.dispatch(batch))
             except BaseException as exc:  # noqa: BLE001 — every pending must settle
                 for _, pending in batch:
                     if not pending.done:
                         pending.fail(exc)
+            if not sent:
+                # Nothing went in flight, so no reply will ever settle it.
+                self.settled()
 
-    def close(self, *, drain: bool = True) -> None:
-        """Stop the batcher; ``drain=True`` dispatches queued items first."""
+    def close(self, *, drain: bool = True) -> List[Tuple[Any, PendingResult]]:
+        """Stop the batcher; ``drain=True`` dispatches queued items first.
+
+        ``drain=False`` takes every still-queued item out instead and
+        returns them with their pending results unsettled, for the
+        caller to retry elsewhere or fail.
+        """
         with self._lock:
             self._closed = True
             leftovers: List[Tuple[Any, PendingResult]] = []
@@ -272,6 +289,5 @@ class WindowBatcher:
                     leftovers.extend(queue)
                     queue.clear()
             self._wakeup.notify_all()
-        for _, pending in leftovers:
-            pending.fail(ValidationError(f"batcher {self.name!r} closed"))
         self._thread.join(timeout=5.0)
+        return leftovers

@@ -176,15 +176,20 @@ def bench_serve(
     budget: Optional[float] = None,
     journal_root: Optional[str] = None,
     max_batch: int = 8,
-    max_wait_seconds: float = 0.005,
     seed: int = 0,
     skip_single: bool = False,
+    command: Optional[str] = None,
     progress: Callable[[str], None] = print,
 ) -> Dict[str, Any]:
-    """The ``repro bench serve`` implementation; returns the written report."""
+    """The ``repro bench serve`` implementation; returns the written report.
+
+    ``command`` is the command line that produced the run, recorded in
+    the report next to ``cpu_count``.
+    """
     instance_doc = _make_instance_doc(n_tasks, n_machines, beta, seed)
     report: Dict[str, Any] = {
         "benchmark": "cluster-serve",
+        "command": command,
         "cpu_count": os.cpu_count(),
         "note": (
             "speedup is bounded by cpu_count: N solver processes cannot beat one "
@@ -199,7 +204,6 @@ def bench_serve(
             "instance": {"n": n_tasks, "m": n_machines, "beta": beta, "seed": seed},
             "budget_joules": budget,
             "max_batch": max_batch,
-            "max_wait_seconds": max_wait_seconds,
         },
     }
 
@@ -226,7 +230,6 @@ def bench_serve(
         budget=budget,
         journal_root=journal_root,
         max_batch=max_batch,
-        max_wait_seconds=max_wait_seconds,
         fsync="never" if journal_root is None else "rotate",
     )
     with ClusterManager(cluster_config) as manager:

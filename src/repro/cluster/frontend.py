@@ -7,8 +7,9 @@ cluster.  It owns
   each with its own journal, telemetry registry and circuit breaker;
 * a :class:`~repro.cluster.router.ConsistentHashRouter` mapping each
   request's trace id to a shard (walking past dead shards);
-* one :class:`~repro.cluster.batcher.WindowBatcher` per shard coalescing
-  requests into bounded solve windows;
+* one :class:`~repro.cluster.batcher.WindowBatcher` per shard: a
+  request to an idle shard ships at once, and requests arriving while
+  the shard's one window is in flight coalesce into the next window;
 * the :class:`~repro.cluster.ledger.EnergyLeaseLedger` splitting the
   global budget ``B`` into per-shard leases, with a background
   rebalancer moving unspent headroom to the shards that are burning it;
@@ -44,6 +45,7 @@ from urllib.parse import parse_qs, urlparse
 from .. import __version__ as _pkg_version
 from ..algorithms.registry import available_schedulers
 from ..chaos import REBALANCE_SITE, RELEASE_SITE, SUBMIT_SITE, FaultInjector
+from ..core.serialization import budget_from_dict
 from ..durability import JournalWriter
 from ..observe.slo import SLOSpec, evaluate
 from ..observe.tracing import to_trace_events, trace_spans, valid_trace_id
@@ -53,13 +55,13 @@ from ..overload.signals import QueueDelaySignal
 from ..profile.phases import phase_breakdown
 from ..resilience.admission import AdmissionController
 from ..telemetry import MetricsRegistry, collector, new_trace_id, prometheus_text, trace_scope
-from ..utils.errors import ValidationError
+from ..utils.errors import ReproError, ValidationError
 from ..utils.validation import check_positive, require
 from .batcher import PendingResult, QueueFullError, WindowBatcher
 from .ledger import EnergyLeaseLedger
 from .router import ConsistentHashRouter
 from .supervisor import ShardSupervisor
-from .worker import LocalShard, WorkerConfig, profile_document, worker_main
+from .worker import SERVING_SPAN_LIMIT, LocalShard, WorkerConfig, profile_document, worker_main
 
 __all__ = ["ClusterConfig", "ClusterManager", "make_cluster_server", "serve_cluster"]
 
@@ -76,7 +78,6 @@ class ClusterConfig:
         budget: Optional[float] = None,
         journal_root: Optional[str] = None,
         max_batch: int = 8,
-        max_wait_seconds: float = 0.01,
         solver_timeout: Optional[float] = None,
         fallback: bool = False,
         max_in_flight: int = 4,
@@ -121,7 +122,6 @@ class ClusterConfig:
         self.budget = budget
         self.journal_root = journal_root
         self.max_batch = int(max_batch)
-        self.max_wait_seconds = float(max_wait_seconds)
         self.solver_timeout = solver_timeout
         self.fallback = bool(fallback)
         self.max_in_flight = int(max_in_flight)
@@ -246,7 +246,7 @@ class ClusterManager:
         injector: Optional[FaultInjector] = None,
     ):
         self.config = config
-        self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
+        self.telemetry = telemetry if telemetry is not None else MetricsRegistry(max_spans=SERVING_SPAN_LIMIT)
         self.injector = injector
         ids = config.shard_ids()
         self.router = ConsistentHashRouter(ids, replicas=config.replicas)
@@ -337,7 +337,6 @@ class ClusterManager:
             handle.batcher = WindowBatcher(
                 lambda batch, h=handle: self._send_window(h, batch),
                 max_batch=self.config.max_batch,
-                max_wait_seconds=self.config.max_wait_seconds,
                 name=f"window_{shard.replace('-', '_')}",
                 max_queue=self.config.max_queue_per_shard,
                 lifo_threshold=(4 * self.config.max_batch) if self.config.adaptive_lifo else None,
@@ -388,7 +387,8 @@ class ClusterManager:
             self._supervisor.stop()
         for handle in self._handles.values():
             if handle.batcher is not None:
-                handle.batcher.close(drain=False)
+                for _, pending in handle.batcher.close(drain=False):
+                    pending.fail(ValidationError(f"shard {handle.shard} is shutting down"))
         for handle in self._handles.values():
             if handle.alive and handle.requests is not None:
                 try:
@@ -639,17 +639,33 @@ class ClusterManager:
             if loser_handle.batcher is not None and loser_handle.batcher.evict(loser_item):
                 self.telemetry.counter("frontend_abandoned_total", shard=loser_handle.shard).inc()
 
-    def _reserve_for(self, shard: str, batch: List[Tuple[Dict[str, Any], PendingResult]]) -> float:
-        """How much lease to reserve for a window: the sum of the requests'
-        own budgets (an infinite budget asks for the whole lease — the
-        reservation clips to headroom either way)."""
+    def _reserve_for(
+        self, shard: str, batch: List[Tuple[Dict[str, Any], PendingResult]]
+    ) -> Tuple[float, List[Tuple[Dict[str, Any], PendingResult]]]:
+        """Reserve a window's lease grant; returns it and the requests to ship.
+
+        The ask is the sum of the requests' own budgets (an infinite
+        budget asks for the whole lease — the reservation clips to
+        headroom either way).  A request whose budget the worker could
+        not read answers its own 400 here and asks for nothing, so it
+        cannot fail its window-mates.
+        """
         lease = self.ledger.lease_of(shard)
         ask = 0.0
-        for item, _ in batch:
-            raw = item["instance"].get("budget", "inf")
-            value = float(raw)
+        kept: List[Tuple[Dict[str, Any], PendingResult]] = []
+        for item, pending in batch:
+            try:
+                value = budget_from_dict(item["instance"])
+            except (KeyError, TypeError, ValueError) as exc:
+                # Worded as the worker words a document it cannot decode.
+                error = str(exc) if isinstance(exc, ReproError) else f"invalid instance document: {exc}"
+                self.telemetry.counter("frontend_rejected_total", reason="invalid_budget").inc()
+                pending.resolve({"status": 400, "error": error, "trace_id": item.get("trace_id")})
+                continue
             ask += lease if math.isinf(value) else value
-        return self.ledger.reserve(shard, min(ask, lease))
+            kept.append((item, pending))
+        grant = self.ledger.reserve(shard, min(ask, lease)) if kept else 0.0
+        return grant, kept
 
     def _shed_doomed(
         self, handle: _ShardHandle, batch: List[Tuple[Dict[str, Any], PendingResult]]
@@ -681,19 +697,23 @@ class ClusterManager:
             kept.append((item, pending))
         return kept
 
-    def _send_window(self, handle: _ShardHandle, batch: List[Tuple[Dict[str, Any], PendingResult]]) -> None:
-        """Batcher dispatch: reserve the grant and ship the window."""
+    def _send_window(self, handle: _ShardHandle, batch: List[Tuple[Dict[str, Any], PendingResult]]) -> bool:
+        """Batcher dispatch: reserve the grant and ship the window.
+
+        Returns whether the window went in flight; when it did, whichever
+        path takes it out of ``handle.inflight`` reopens the batcher gate.
+        """
         if not handle.alive:
             for item, pending in batch:
                 pending.resolve(_shed_doc(f"shard {handle.shard} is down", 2.0, item.get("trace_id")))
-            return
+            return False
         batch = self._shed_doomed(handle, batch)
-        if not batch:
-            return
-        batch_id = next(self._batch_ids)
         grant: Optional[float] = None
-        if self.ledger.budget is not None:
-            grant = self._reserve_for(handle.shard, batch)
+        if batch and self.ledger.budget is not None:
+            grant, batch = self._reserve_for(handle.shard, batch)
+        if not batch:
+            return False
+        batch_id = next(self._batch_ids)
         try:
             envelope: Dict[str, Any] = {
                 "op": "window",
@@ -728,6 +748,8 @@ class ClusterManager:
                 self.ledger.release(handle.shard, grant, epoch=handle.epoch)
             for item, pending in batch:
                 pending.resolve(_shed_doc(f"shard {handle.shard} unreachable", 2.0, item.get("trace_id")))
+            return False
+        return True
 
     def _settle_window(
         self,
@@ -811,7 +833,10 @@ class ClusterManager:
             handle.inflight.clear()
         self.telemetry.counter("shard_deaths_total", shard=handle.shard).inc()
         if handle.batcher is not None:
-            handle.batcher.close(drain=False)
+            # Requests still queued behind the dead shard's in-flight
+            # window retry like its orphans instead of failing.
+            for item, pending in handle.batcher.close(drain=False):
+                self._retry_or_fail(item, pending, f"shard {handle.shard} died")
         for kind, payload, grant, epoch, _ in orphans:
             if grant and self.ledger.budget is not None:
                 if self.injector is not None:
@@ -880,6 +905,7 @@ class ClusterManager:
                 if handle.alive and handle.process is not None and not handle.process.is_alive():
                     self._shard_died(handle)
                     return
+                self._sweep_stale(handle)
                 continue
             except (OSError, ValueError):  # pragma: no cover — queue torn down
                 return
@@ -890,9 +916,18 @@ class ClusterManager:
             if entry is None:
                 continue
             if entry[0] == "window":
-                self._settle_window(handle, entry, reply)
+                try:
+                    self._settle_window(handle, entry, reply)
+                finally:
+                    self._window_left(handle)
             else:
                 entry[1].resolve(reply)
+
+    @staticmethod
+    def _window_left(handle: _ShardHandle) -> None:
+        """A window left ``handle.inflight``: the shard may take the next."""
+        if handle.batcher is not None:
+            handle.batcher.settled()
 
     # -- supervision hooks -------------------------------------------------------
 
@@ -912,39 +947,38 @@ class ClusterManager:
         self._spawn_shard(handle, with_chaos=False)
         self.telemetry.counter("shard_restarts_total", shard=handle.shard).inc()
 
-    def _sweep_stale(self) -> None:
+    def _sweep_stale(self, handle: _ShardHandle) -> None:
         """Reap windows whose reply will never come (e.g. a dropped reply).
 
         Without this, a reply-queue drop leaks the window's grant as
-        permanent phantom reservation.  The grant is committed in full —
-        never released — because the worker may well have solved the
-        window and journalled the spend; only the reply vanished.  The
-        horizon sits at half the request timeout so the victims resolve
-        as explicit 503s while their callers are still waiting (a late
-        genuine reply finds its in-flight entry gone and is ignored —
-        the pending settles exactly once).
+        permanent phantom reservation, and keeps the batcher's gate
+        closed so the shard never takes another window.  The shard's
+        reply pump runs it whenever its reply queue is quiet, supervised
+        or not.  The grant is committed in full — never released —
+        because the worker may well have solved the window and
+        journalled the spend; only the reply vanished.  The horizon sits
+        at half the request timeout so the victims resolve as explicit
+        503s while their callers are still waiting (a late genuine reply
+        finds its in-flight entry gone and is ignored — the pending
+        settles exactly once).
         """
         horizon = 0.5 * self.config.request_timeout_seconds
         now = time.monotonic()
-        for handle in self._handles.values():
-            if not handle.alive:
-                continue
-            with handle.lock:
-                stale = [
-                    (batch_id, entry)
-                    for batch_id, entry in handle.inflight.items()
-                    if entry[0] == "window" and now - entry[4] > horizon
-                ]
-                for batch_id, _ in stale:
-                    handle.inflight.pop(batch_id, None)
-            for _, (kind, batch, grant, epoch, _sent) in stale:
-                if grant and self.ledger.budget is not None:
-                    self.ledger.commit(handle.shard, grant, grant, epoch=epoch)
-                for item, pending in batch:
-                    pending.resolve(
-                        _shed_doc(f"shard {handle.shard} never answered", 2.0, item.get("trace_id"))
-                    )
-                self.telemetry.counter("frontend_swept_windows_total", shard=handle.shard).inc()
+        with handle.lock:
+            stale = [
+                (batch_id, entry)
+                for batch_id, entry in handle.inflight.items()
+                if entry[0] == "window" and now - entry[4] > horizon
+            ]
+            for batch_id, _ in stale:
+                handle.inflight.pop(batch_id, None)
+        for _, (kind, batch, grant, epoch, _sent) in stale:
+            if grant and self.ledger.budget is not None:
+                self.ledger.commit(handle.shard, grant, grant, epoch=epoch)
+            for item, pending in batch:
+                pending.resolve(_shed_doc(f"shard {handle.shard} never answered", 2.0, item.get("trace_id")))
+            self.telemetry.counter("frontend_swept_windows_total", shard=handle.shard).inc()
+            self._window_left(handle)
 
     # -- rebalancing -----------------------------------------------------------
 
@@ -1237,8 +1271,8 @@ def serve_cluster(
     budget = "unbounded" if cfg.budget is None else f"{cfg.budget:.1f} J"
     print(f"repro cluster front-end on http://{host}:{server.server_address[1]}")
     print(
-        f"topology: {cfg.shards} shard worker(s), windows <= {cfg.max_batch} requests / "
-        f"{cfg.max_wait_seconds * 1000:.0f} ms, energy budget {budget}"
+        f"topology: {cfg.shards} shard worker(s), windows <= {cfg.max_batch} requests, "
+        f"energy budget {budget}"
     )
     if cfg.journal_root is not None:
         print(f"durability: per-shard journals under {cfg.journal_root}")

@@ -1,4 +1,4 @@
-"""The shard supervisor: heartbeat, restart, sweep.
+"""The shard supervisor: heartbeat and restart.
 
 :class:`ShardSupervisor` is the front-end's repair loop.  Each heartbeat
 it checks every shard handle of its :class:`~repro.cluster.frontend.ClusterManager`:
@@ -12,10 +12,11 @@ it checks every shard handle of its :class:`~repro.cluster.frontend.ClusterManag
   chain resumes), new queues and a new dispatcher/batcher attach, and
   the consistent-hash ring routes to it again.  Restarts are capped by
   ``max_restarts`` — a shard that keeps dying stays down rather than
-  crash-looping;
-* in-flight windows older than the request timeout are swept (their
-  grants committed in full — a dropped reply must not leak phantom
-  reservation forever).
+  crash-looping.
+
+Windows whose reply never comes are swept by each shard's own reply
+pump (:meth:`~repro.cluster.frontend.ClusterManager._sweep_stale`), so
+that works without a supervisor too.
 
 The supervisor never makes scheduling decisions; it only restores the
 topology the manager was configured with.  It runs as one daemon thread
@@ -37,8 +38,7 @@ __all__ = ["ShardSupervisor"]
 
 
 class ShardSupervisor:
-    """Heartbeat loop restarting dead shard workers (bounded) and
-    sweeping stale in-flight windows."""
+    """Heartbeat loop restarting dead shard workers (bounded)."""
 
     def __init__(
         self,
@@ -89,7 +89,6 @@ class ShardSupervisor:
                 and handle.restarts < self.max_restarts
             ):
                 manager._restart_shard(handle)
-        manager._sweep_stale()
 
     def _loop(self) -> None:
         while not self._stop.wait(self.heartbeat_seconds):

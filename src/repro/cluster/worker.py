@@ -67,7 +67,12 @@ from ..telemetry import MetricsRegistry, collector, new_trace_id, trace_scope
 from ..utils.errors import FallbackExhaustedError, ReproError, SolverTimeoutError
 from .solve_service import SolveService, SolveServiceConfig, solve_payload
 
-__all__ = ["LocalShard", "WorkerConfig", "worker_main"]
+__all__ = ["LocalShard", "WorkerConfig", "worker_main", "SERVING_SPAN_LIMIT"]
+
+#: Spans a long-lived serving registry keeps (the most recent ones): a
+#: shard records about a dozen per solve, and ``/trace/<id>`` and
+#: ``/debug/profile`` read the whole store on every call.
+SERVING_SPAN_LIMIT = 10_000
 
 
 class WorkerConfig:
@@ -114,7 +119,7 @@ class _ShardState:
         admission: Optional[AdmissionController] = None,
     ):
         self.config = config
-        self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
+        self.telemetry = telemetry if telemetry is not None else MetricsRegistry(max_spans=SERVING_SPAN_LIMIT)
         self.service = SolveService(SolveServiceConfig(solver_timeout=config.solver_timeout, fallback=config.fallback))
         self.admission = (
             admission if admission is not None else AdmissionController(max_in_flight=config.max_in_flight)

@@ -32,6 +32,7 @@ __all__ = [
     "cluster_from_dict",
     "instance_to_dict",
     "instance_from_dict",
+    "budget_from_dict",
     "save_instance",
     "load_instance",
     "schedule_to_dict",
@@ -152,8 +153,21 @@ def instance_from_dict(data: Dict[str, Any]) -> ProblemInstance:
     _check_header(data, "repro.instance")
     cluster = cluster_from_dict(data["machines"])
     tasks = _tasks_from_dicts(data["tasks"])
-    budget = data["budget"]
-    return ProblemInstance(tasks, cluster, math.inf if budget == "inf" else float(budget))
+    return ProblemInstance(tasks, cluster, budget_from_dict(data))
+
+
+def budget_from_dict(data: Dict[str, Any]) -> float:
+    """An instance document's energy budget ``B`` in Joules (``"inf"`` ⇒ ∞).
+
+    Reads only the ``budget`` field, so a caller can price a request
+    without decoding it; raises on a missing, non-numeric or negative
+    (or NaN) budget.
+    """
+    raw = data["budget"]
+    budget = math.inf if raw == "inf" else float(raw)
+    if not budget >= 0.0:
+        raise ValidationError(f"budget must be >= 0, got {budget!r}")
+    return budget
 
 
 def save_instance(instance: ProblemInstance, path: Union[str, Path]) -> None:

@@ -204,7 +204,6 @@ def bench_overload(
         budget=budget,
         journal_root=journal_root,
         max_batch=8,
-        max_wait_seconds=0.005,
         request_timeout_seconds=10.0,
         rebalance_seconds=0.25,  # doubles as the brownout controller tick
         fsync="never" if journal_root is None else "rotate",

@@ -37,9 +37,10 @@ import time
 import uuid
 import warnings
 from bisect import bisect_left
+from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "TelemetryError",
@@ -309,16 +310,21 @@ class _SpanContext:
 
 
 class MetricsRegistry:
-    """Holds every metric series and span of one collection run."""
+    """Holds every metric series and span of one collection run.
 
-    def __init__(self) -> None:
+    ``max_spans`` bounds the span store to the most recent spans (the
+    oldest are dropped first) — what a long-lived serving registry
+    needs; by default every span is kept.
+    """
+
+    def __init__(self, *, max_spans: Optional[int] = None) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[Tuple[str, LabelItems], object] = {}
         self._kinds: Dict[str, str] = {}
         self._label_keys: Dict[str, Tuple[str, ...]] = {}
         self._series_count: Dict[str, int] = {}
         self._overflow_warned: set = set()
-        self.spans: List[SpanRecord] = []
+        self.spans: Deque[SpanRecord] = deque(maxlen=max_spans)
         # Immutable tuple per context: new threads/contexts start empty,
         # copy_context() hand-offs inherit the parent chain read-only.
         self._stack: ContextVar[Tuple[SpanRecord, ...]] = ContextVar(

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -220,7 +222,6 @@ def test_supervisor_restarts_sigkilled_worker(tmp_path):
         budget=50_000.0,
         journal_root=str(tmp_path),
         max_batch=2,
-        max_wait_seconds=0.005,
         fsync="never",
         supervise=True,
         heartbeat_seconds=0.05,
@@ -260,7 +261,6 @@ def test_hedged_dispatch_cancels_loser_grant():
         shards=2,
         budget=50_000.0,
         max_batch=2,
-        max_wait_seconds=0.002,
         hedge_after_seconds=0.01,
         supervise=True,
         heartbeat_seconds=0.1,
@@ -290,6 +290,95 @@ def test_hedged_dispatch_cancels_loser_grant():
         while reserved_total() > 1e-6 and time.monotonic() < deadline:
             time.sleep(0.05)
         assert reserved_total() == pytest.approx(0.0, abs=1e-6)
+        assert manager.ledger.audit() == []
+    finally:
+        manager.stop()
+
+
+def _trace_ids_routed_to(config, shard, count):
+    router = ConsistentHashRouter(config.shard_ids(), replicas=config.replicas)
+    candidates = (f"{i:04x}cafe{i:08x}" for i in itertools.count())
+    return list(itertools.islice((t for t in candidates if router.route(t) == shard), count))
+
+
+def _wait_for(predicate, what, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.01)
+
+
+def test_requests_queued_behind_a_dead_shard_retry_on_the_survivor():
+    """Requests still queued in a shard's batcher when its worker dies
+    retry like its in-flight orphans: all answer 200 from the survivor."""
+    doc = instance_to_dict(make_instance(n=5, m=2, seed=4))
+    config = ClusterConfig(
+        shards=2,
+        budget=50_000.0,
+        max_batch=4,
+        supervise=True,
+        heartbeat_seconds=0.05,
+        max_restarts=0,  # the victim stays dead: retries must go to the survivor
+        retry_backoff_seconds=0.02,
+    )
+    victim, survivor = config.shard_ids()
+    trace_ids = _trace_ids_routed_to(config, victim, 5)
+    # The victim's first window stalls its worker, so the gate stays
+    # closed and every later request to it waits in the batcher.
+    stall = ChaosEvent(
+        seq=0, kind="worker_stall", site=WORKER_SITE, shard=victim, at_op=1, magnitude=60.0
+    )
+    manager = ClusterManager(config, injector=FaultInjector(ChaosSchedule.from_events([stall]))).start()
+    results = {}
+
+    def call(tid):
+        results[tid] = manager.submit("approx", doc, trace_id=tid)
+
+    threads = [threading.Thread(target=call, args=(tid,), daemon=True) for tid in trace_ids]
+    try:
+        handle = manager._handles[victim]
+        threads[0].start()
+        _wait_for(lambda: handle.inflight, "the stalled window")
+        for thread in threads[1:]:
+            thread.start()
+        _wait_for(lambda: handle.batcher.depth == len(threads) - 1, "the queue behind it")
+        os.kill(handle.process.pid, signal.SIGKILL)
+        for thread in threads:
+            thread.join(30.0)
+        assert sorted(results) == sorted(trace_ids)
+        assert all(r["status"] == 200 for r in results.values()), results
+        assert {r["shard"] for r in results.values()} == {survivor}
+        assert counter_total(manager.telemetry, "frontend_retries_total") >= len(trace_ids)
+        assert manager.ledger.audit() == []
+    finally:
+        manager.stop()
+
+
+def test_dropped_reply_is_swept_and_the_shard_serves_on_unsupervised():
+    """A window whose reply never comes holds the shard's gate until the
+    reply pump sweeps it: the victim answers 503 and the request queued
+    behind it is served, with no supervisor running."""
+    doc = instance_to_dict(make_instance(n=5, m=2, seed=6))
+    config = ClusterConfig(shards=1, budget=50_000.0, request_timeout_seconds=2.0, supervise=False)
+    drop = ChaosEvent(seq=0, kind="reply_drop", site=WORKER_SITE, shard="shard-00", at_op=1)
+    manager = ClusterManager(config, injector=FaultInjector(ChaosSchedule.from_events([drop]))).start()
+    results = {}
+
+    def call(name):
+        results[name] = manager.submit("approx", doc)
+
+    threads = {name: threading.Thread(target=call, args=(name,), daemon=True) for name in ("dropped", "queued")}
+    try:
+        handle = manager._handles["shard-00"]
+        threads["dropped"].start()
+        _wait_for(lambda: handle.inflight, "the dropped window")
+        threads["queued"].start()
+        for thread in threads.values():
+            thread.join(10.0)
+        assert results["dropped"]["status"] == 503
+        assert "never answered" in results["dropped"]["error"]
+        assert results["queued"]["status"] == 200
+        assert counter_total(manager.telemetry, "frontend_swept_windows_total") == 1.0
         assert manager.ledger.audit() == []
     finally:
         manager.stop()

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import WORKER_SITE, ChaosEvent, ChaosSchedule, FaultInjector
 from repro.cluster import (
     ClusterConfig,
     ClusterManager,
@@ -155,7 +156,7 @@ def test_batcher_coalesces_up_to_max_batch():
         if sum(windows) >= 6:
             done.set()
 
-    batcher = WindowBatcher(dispatch, max_batch=3, max_wait_seconds=0.5)
+    batcher = WindowBatcher(dispatch, max_batch=3)
     pendings = [batcher.submit(i) for i in range(6)]
     assert all(p.wait(5.0) == "ok" for p in pendings)
     done.wait(5.0)
@@ -164,32 +165,84 @@ def test_batcher_coalesces_up_to_max_batch():
     assert sum(windows) == 6
 
 
-def test_batcher_flushes_on_max_wait():
+def test_idle_batcher_ships_a_lone_request_at_once():
     windows = []
 
     def dispatch(batch):
         windows.append([item for item, _ in batch])
         for _, pending in batch:
             pending.resolve("ok")
+        return True
 
-    batcher = WindowBatcher(dispatch, max_batch=100, max_wait_seconds=0.02)
+    batcher = WindowBatcher(dispatch, max_batch=100)
     pending = batcher.submit("lonely")
     assert pending.wait(5.0) == "ok"  # did not wait for 99 peers
     batcher.close()
     assert windows == [["lonely"]]
 
 
+def test_batcher_coalesces_behind_the_in_flight_window():
+    windows = []
+    shipped = threading.Semaphore(0)
+
+    def dispatch(batch):
+        windows.append([item for item, _ in batch])
+        shipped.release()
+        return True  # in flight until settled()
+
+    batcher = WindowBatcher(dispatch, max_batch=3)
+    try:
+        batcher.submit("first")
+        assert shipped.acquire(timeout=5.0)
+        for i in range(5):
+            batcher.submit(i)
+        time.sleep(0.05)  # room for a wrongly open gate to ship
+        assert windows == [["first"]]
+        assert batcher.depth == 5
+        batcher.settled()
+        assert shipped.acquire(timeout=5.0)
+        assert windows[1] == [0, 1, 2]  # one window of min(k, max_batch)
+        assert batcher.depth == 2
+        batcher.settled()
+        assert shipped.acquire(timeout=5.0)
+        assert windows[2] == [3, 4]
+    finally:
+        batcher.close(drain=False)
+
+
+def test_dispatch_that_sends_nothing_leaves_the_gate_open():
+    windows = []
+
+    def dispatch(batch):
+        windows.append([item for item, _ in batch])
+        for item, pending in batch:
+            pending.resolve(f"shed {item}")
+        return False  # wholly shed: nothing went in flight
+
+    batcher = WindowBatcher(dispatch, max_batch=4)
+    try:
+        assert batcher.submit("a").wait(5.0) == "shed a"
+        # Never settled, yet the next request still ships.
+        assert batcher.submit("b").wait(5.0) == "shed b"
+        assert windows == [["a"], ["b"]]
+    finally:
+        batcher.close()
+
+
 def test_batcher_dispatch_failure_fails_pendings():
     def dispatch(batch):
         raise RuntimeError("worker exploded")
 
-    batcher = WindowBatcher(dispatch, max_batch=4, max_wait_seconds=0.01)
+    batcher = WindowBatcher(dispatch, max_batch=4)
     pending = batcher.submit("x")
     with pytest.raises(RuntimeError, match="worker exploded"):
         pending.wait(5.0)
+    # The failed window reopened the gate: the next request ships too.
+    with pytest.raises(RuntimeError, match="worker exploded"):
+        batcher.submit("y").wait(5.0)
     batcher.close()
     with pytest.raises(ValidationError):
-        batcher.submit("y")
+        batcher.submit("z")
 
 
 def test_pending_result_timeout():
@@ -230,7 +283,6 @@ def cluster_env(tmp_path_factory):
         budget=50_000.0,
         journal_root=str(journal_root),
         max_batch=4,
-        max_wait_seconds=0.005,
         fsync="never",
     )
     manager = ClusterManager(config).start()
@@ -439,7 +491,7 @@ def test_cluster_survives_worker_death():
     (the dead shard stays dead); the supervised restart path is covered
     in ``tests/test_chaos.py``."""
     doc = instance_to_dict(make_instance(n=5, m=2, seed=11))
-    config = ClusterConfig(shards=2, max_batch=4, max_wait_seconds=0.005, supervise=False)
+    config = ClusterConfig(shards=2, max_batch=4, supervise=False)
     manager = ClusterManager(config).start()
     try:
         first = manager.submit("approx", doc)
@@ -457,6 +509,50 @@ def test_cluster_survives_worker_death():
         assert manager.health()["status"] == "degraded"
     finally:
         manager.stop()
+
+
+def test_bad_budget_fails_only_its_own_request():
+    """A request whose budget cannot be read answers its own 400 at the
+    front-end; the valid request sharing its window is still served."""
+    doc = instance_to_dict(make_instance(n=5, m=2, seed=12))
+    config = ClusterConfig(shards=1, budget=1e6, max_batch=4, supervise=False)
+    # The first window stalls the worker: the gate stays closed while the
+    # next two requests queue, so they ship together as one window.
+    stall = ChaosEvent(
+        seq=0, kind="worker_stall", site=WORKER_SITE, shard="shard-00", at_op=1, magnitude=2.0
+    )
+    manager = ClusterManager(config, injector=FaultInjector(ChaosSchedule.from_events([stall]))).start()
+    results = {}
+
+    def call(name, body):
+        results[name] = manager.submit("approx", body)
+
+    threads = [
+        threading.Thread(target=call, args=args, daemon=True)
+        for args in (("first", doc), ("valid", doc), ("bad", {**doc, "budget": "x"}))
+    ]
+    try:
+        handle = manager._handles["shard-00"]
+        threads[0].start()
+        deadline = time.monotonic() + 10.0
+        while not handle.inflight and time.monotonic() < deadline:
+            time.sleep(0.01)
+        for thread in threads[1:]:
+            thread.start()
+        while handle.batcher.depth < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert handle.batcher.depth == 2, "the two requests did not queue behind the stalled window"
+        for thread in threads:
+            thread.join(30.0)
+        sizes = manager.telemetry.get("window_shard_00_window_size")
+    finally:
+        manager.stop()
+    assert results["first"]["status"] == 200
+    assert results["valid"]["status"] == 200, results["valid"]
+    assert results["bad"]["status"] == 400
+    assert "could not convert" in results["bad"]["error"]
+    assert (sizes.count, sizes.sum) == (2, 3)  # windows of one, then of two
+    assert manager.ledger.audit() == []
 
 
 # -- load generator -------------------------------------------------------------

@@ -294,10 +294,23 @@ def test_brownout_reports_transitions_to_its_owner():
 
 
 def quiet_batcher(**kwargs):
-    """A batcher whose loop will not form a window during the test body."""
+    """A batcher whose gate is held closed for the whole test body.
+
+    A first "plug" request ships at once and its window never settles,
+    so every later submission stays queued: the loop cannot form
+    another window, however the threads are scheduled.
+    """
+    plugged = threading.Event()
+
+    def dispatch(batch):
+        plugged.set()
+        return True  # in flight; nobody calls settled()
+
     kwargs.setdefault("max_batch", 64)
-    kwargs.setdefault("max_wait_seconds", 30.0)
-    return WindowBatcher(lambda batch: None, **kwargs)
+    batcher = WindowBatcher(dispatch, **kwargs)
+    batcher.submit("plug")
+    assert plugged.wait(5.0)
+    return batcher
 
 
 def test_batcher_weighted_dequeue_favors_interactive_without_starvation():
@@ -364,7 +377,7 @@ def test_batcher_dispatches_and_resolves_across_classes():
             pending.resolve(item)
         done.set()
 
-    b = WindowBatcher(dispatch, max_batch=3, max_wait_seconds=0.01)
+    b = WindowBatcher(dispatch, max_batch=3)
     try:
         pendings = [
             b.submit(i, priority=cls)
@@ -434,7 +447,6 @@ def overload_cluster():
     config = ClusterConfig(
         shards=1,
         max_batch=4,
-        max_wait_seconds=0.005,
         request_timeout_seconds=20.0,
         rebalance_seconds=0.1,
         fsync="never",

@@ -180,3 +180,32 @@ def test_local_shard_journal_orders_concurrent_solves(tmp_path):
     audit = audit_cluster(tmp_path)
     assert audit.certified, audit.violations
     assert audit.total_spent == pytest.approx(sum(r["metrics"]["energy_joules"] for r in results))
+
+
+def test_serving_registries_keep_only_the_newest_spans(monkeypatch):
+    from repro.cluster import worker
+
+    monkeypatch.setattr(worker, "SERVING_SPAN_LIMIT", 50)
+    shard = LocalShard(WorkerConfig("local", profile_hz=0.0))
+    doc = instance_to_dict(make_instance(n=4, m=2, seed=1))
+    trace_ids = [f"{i:016x}" for i in range(1, 13)]
+    for trace_id in trace_ids:
+        assert shard.submit("approx", doc, trace_id=trace_id)["status"] == 200
+    assert len(shard.telemetry.spans) == 50  # a dozen solves recorded far more
+    newest = shard.trace_document(trace_ids[-1])
+    assert newest is not None
+    assert {e.get("name") for e in newest["traceEvents"]} >= {"server.solve"}
+    assert shard.trace_document(trace_ids[0]) is None  # aged out
+
+
+def test_only_long_lived_serving_registries_are_bounded():
+    from repro.cluster.worker import SERVING_SPAN_LIMIT
+    from repro.telemetry import MetricsRegistry
+
+    server = make_server()
+    try:
+        assert server.telemetry.spans.maxlen == SERVING_SPAN_LIMIT
+    finally:
+        server.server_close()
+    assert ClusterManager(ClusterConfig(shards=1)).telemetry.spans.maxlen == SERVING_SPAN_LIMIT
+    assert MetricsRegistry().spans.maxlen is None  # one-shot registries keep every span
